@@ -22,7 +22,7 @@ paper's setup (at a corresponding cost in wall-clock time):
 
 Each benchmark prints the rows it regenerates in the same layout as the paper
 table so the shape (ordering of methods, approximate ratios) can be compared
-directly; EXPERIMENTS.md records one full run.
+directly; every printed table is also appended to ``latest_results.txt``.
 
 Wall-clock assertions (and the regression gate in ``check_regression.py``)
 share one CI / core-count gating policy, defined once in :mod:`gating` —

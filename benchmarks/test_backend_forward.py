@@ -9,9 +9,11 @@ Two measurements on one synthetic ensemble workload:
   floor (optimized >= the committed baseline, i.e. at least numpy-parity) is
   a wall-clock assertion gated by the shared CI policy.
 * **pooled forward** — serial in-process prediction vs the
-  :class:`~repro.runtime.pool.ForwardPool` sharding the member axis across
-  worker processes on shared-memory weights.  Bitwise equality is asserted
-  unconditionally; the >1x speedup contract for a >=8-member ensemble is
+  :class:`~repro.runtime.pool.ForwardPool` sharding the ensemble's members
+  across one worker process per usable core, clamped to 2..4, on
+  shared-memory weights.  BLAS threads are not pinned here, so where BLAS
+  runs a thread per core the workers still compete for cores.  Bitwise
+  equality is asserted unconditionally; the >1x speedup contract is
   enforced only on non-CI machines with >= 4 usable cores (the same gate as
   the featurisation-pool benchmark).
 
@@ -37,9 +39,11 @@ from repro.graph.dataset import GraphSample
 from repro.graph.hetero_graph import HeteroGraph
 from repro.runtime import ForwardPool, available_cpus
 
-FORWARD_WORKERS = 4
+#: Pool size cap, and the core count at which the >1x assert is enforced.
+MAX_FORWARD_WORKERS = 4
+FORWARD_WORKERS = max(2, min(MAX_FORWARD_WORKERS, available_cpus()))
 ENSEMBLE_FOLDS = 8
-ENSEMBLE_SEEDS = (0, 1)  # 16 members — comfortably past the >=8 contract
+ENSEMBLE_SEEDS = (0, 1)  # 16 members
 QUERY_DESIGNS = 64
 REPEATS = 3
 
@@ -172,11 +176,11 @@ def test_backend_packed_forward(benchmark, bench_scale):
     serial_seconds = results["serial_seconds"]
     pooled_seconds = results["pooled_seconds"]
     pool_speedup = serial_seconds / pooled_seconds
-    pool_enforced = wall_clock_enforced(min_cores=FORWARD_WORKERS)
+    pool_enforced = wall_clock_enforced(min_cores=MAX_FORWARD_WORKERS)
     print_table(
         f"Pooled packed forward ({num_members} members x{FORWARD_WORKERS} workers, "
         f"{results['shared_bytes'] / 1024:.0f} KiB shared weights; >1x assert "
-        f"{gate_reason(min_cores=FORWARD_WORKERS)})",
+        f"{gate_reason(min_cores=MAX_FORWARD_WORKERS)})",
         ["Path", "Designs", "Seconds", "Designs/s", "Speedup"],
         [
             [

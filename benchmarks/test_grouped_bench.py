@@ -1,24 +1,17 @@
-"""Grouped one-GEMM forward + graph-axis sharding microbenchmarks.
+"""Grouped one-GEMM forward microbenchmark.
 
-Two measurements on synthetic single-model workloads (the grouped path and
-the graph axis are both member-count-independent, so a single model keeps
-the timings about the kernels rather than the ensemble loop):
+One measurement on a synthetic single-model workload (the grouped path is
+member-count-independent, so a single model keeps the timings about the
+kernels rather than the ensemble loop): the same ``predict_batch`` timed
+with the per-relation loop (``REPRO_GROUPED_FORWARD=off``), the grouped
+one-GEMM path (``on``), and the grouped path on the ``f32`` accelerator
+tier.  Bitwise equality of grouped-vs-loop and the f32 tier's
+``F32_TOLERANCE`` contract are asserted unconditionally; the >=1.5x
+grouped+f32 speedup floor is a wall-clock assertion gated by the shared CI
+policy.
 
-* **grouped relation forward** — the same ``predict_batch`` timed with the
-  per-relation loop (``REPRO_GROUPED_FORWARD=off``), the grouped one-GEMM
-  path (``on``), and the grouped path on the ``f32`` accelerator tier.
-  Bitwise equality of grouped-vs-loop and the f32 tier's ``F32_TOLERANCE``
-  contract are asserted unconditionally; the >=1.5x grouped+f32 speedup
-  floor is a wall-clock assertion gated by the shared CI policy.
-* **graph-axis sharded forward** — serial segmented prediction vs the
-  :class:`~repro.runtime.pool.ForwardPool` sharding whole forward segments
-  across worker processes on a shared-memory packed batch.  Bitwise equality
-  is asserted unconditionally; the >1x speedup contract is enforced only on
-  non-CI machines with >= 4 usable cores.
-
-The tables land in ``latest_results.txt`` and feed the regression gate
-(``baseline.json``: ``backend.grouped_forward.*``,
-``runtime.forward_pool.graph_shard_speedup``).
+The table lands in ``latest_results.txt`` and feeds the regression gate
+(``baseline.json``: ``backend.grouped_forward.*``).
 """
 
 from __future__ import annotations
@@ -34,17 +27,14 @@ from gating import gate_reason, wall_clock_enforced
 from repro.backend import OptimizedBackend, get_backend, use_backend
 from repro.backend.optimized import F32_TOLERANCE
 from repro.flow.powergear import PowerGear, PowerGearConfig
-from repro.gnn.base import GROUPED_ENV_VAR, SEGMENT_ENV_VAR
+from repro.gnn.base import GROUPED_ENV_VAR
 from repro.gnn.config import GNNConfig
 from repro.gnn.trainer import TrainingConfig
-from repro.runtime import ForwardPool, available_cpus
+from repro.runtime import available_cpus
 from test_backend_forward import _synthetic_samples
 
 REPEATS = 3
 GROUPED_QUERY_DESIGNS = 64
-SHARD_WORKERS = 4
-SHARD_QUERY_DESIGNS = 96
-SHARD_SEGMENT_NODES = 1024
 
 
 def _fit_single(samples, hidden: int) -> PowerGear:
@@ -148,90 +138,4 @@ def test_grouped_relation_forward(benchmark, bench_scale):
         assert f32_speedup >= 1.5, (
             f"grouped+f32 forward is only {f32_speedup:.2f}x the per-relation "
             "loop (contract: >= 1.5x)"
-        )
-
-
-@pytest.mark.benchmark
-@pytest.mark.slow
-def test_graph_axis_sharded_forward(benchmark, bench_scale):
-    hidden = max(bench_scale.hidden_dim, 64)
-    train = _synthetic_samples(24, seed=13, min_nodes=20, max_nodes=30)
-    queries = _synthetic_samples(SHARD_QUERY_DESIGNS, seed=14)
-    model = _fit_single(train, hidden)
-
-    # Small deterministic segments so one packed batch decomposes into
-    # enough whole-segment shards for every worker; serial and pooled share
-    # the same segment size, which is what makes them bitwise-comparable.
-    os.environ[SEGMENT_ENV_VAR] = str(SHARD_SEGMENT_NODES)
-    try:
-
-        def run():
-            with use_backend("numpy"):
-                model.predict_batch(queries)  # warm
-                serial_start = time.perf_counter()
-                for _ in range(REPEATS):
-                    serial_predictions = model.predict_batch(queries)
-                serial_seconds = time.perf_counter() - serial_start
-
-            with ForwardPool(
-                model, num_workers=SHARD_WORKERS, shard_axis="graphs"
-            ) as pool:
-                pool.predict_batch(queries)  # warm: forks + shm attach
-                pooled_start = time.perf_counter()
-                for _ in range(REPEATS):
-                    pooled_predictions = pool.predict_batch(queries)
-                pooled_seconds = time.perf_counter() - pooled_start
-                shared_batch_bytes = pool.stats.shared_batch_bytes
-
-            return {
-                "serial_predictions": serial_predictions,
-                "serial_seconds": serial_seconds,
-                "pooled_predictions": pooled_predictions,
-                "pooled_seconds": pooled_seconds,
-                "shared_batch_bytes": shared_batch_bytes,
-            }
-
-        results = benchmark.pedantic(run, rounds=1, iterations=1)
-    finally:
-        os.environ.pop(SEGMENT_ENV_VAR, None)
-
-    designs = REPEATS * SHARD_QUERY_DESIGNS
-    serial_seconds = results["serial_seconds"]
-    pooled_seconds = results["pooled_seconds"]
-    speedup = serial_seconds / pooled_seconds
-    enforced = wall_clock_enforced(min_cores=SHARD_WORKERS)
-    print_table(
-        f"Graph-axis sharded packed forward (single model x{SHARD_WORKERS} "
-        f"workers, {SHARD_SEGMENT_NODES}-node segments, "
-        f"{results['shared_batch_bytes'] / 1024:.0f} KiB shared batch; "
-        f">1x assert {gate_reason(min_cores=SHARD_WORKERS)})",
-        ["Path", "Designs", "Seconds", "Designs/s", "Speedup"],
-        [
-            [
-                "serial",
-                str(designs),
-                f"{serial_seconds:.3f}",
-                f"{designs / serial_seconds:.1f}",
-                "1.0x",
-            ],
-            [
-                f"shard x{SHARD_WORKERS}",
-                str(designs),
-                f"{pooled_seconds:.3f}",
-                f"{designs / pooled_seconds:.1f}",
-                f"{speedup:.2f}x",
-            ],
-        ],
-    )
-
-    assert np.ptp(results["serial_predictions"]) > 1e-6
-    assert results["pooled_predictions"].tobytes() == results[
-        "serial_predictions"
-    ].tobytes(), "graph-axis sharded forward diverged bitwise from serial"
-    assert results["shared_batch_bytes"] > 0  # the batch rode shared memory
-
-    if enforced:
-        assert speedup > 1.0, (
-            f"graph-axis sharding is only {speedup:.2f}x serial with "
-            f"{SHARD_WORKERS} workers on {available_cpus()} cores"
         )

@@ -10,7 +10,8 @@ under the paper's leave-one-application-out protocol.  The paper's reference
 row (its Table I averages): Vivado 21.82 / HL-Pow 3.79 / PowerGear 3.60 for
 total power, and GCN 12.94 / GraphSage 11.91 / GraphConv 11.01 / GINE 11.17 /
 HL-Pow 12.67 / PowerGear 8.81 for dynamic power.  Absolute numbers differ on
-this simulated substrate; EXPERIMENTS.md records the measured run.
+this simulated substrate; each run's tables are appended to
+``latest_results.txt``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The paper reports ~480-530 design points per kernel with average graph sizes
 of 137-447 nodes.  The benchmark regenerates the same two columns for the
-configured scale (smaller by default; see EXPERIMENTS.md for the recorded run
-and the comparison against the paper's values).
+configured scale (smaller by default); each run's table is appended to
+``latest_results.txt`` next to this module for comparison with the paper's
+values quoted above.
 """
 
 from __future__ import annotations

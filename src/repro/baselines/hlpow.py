@@ -9,8 +9,11 @@ are binned into a fixed-width histogram; the HLS report metadata (resources,
 latency, clock and scaling factors) is appended, matching HL-Pow's use of
 design-level features.  Crucially — and this is the paper's point — the
 feature vector carries *no interconnect structure*: edges and their switching
-activities are invisible to HL-Pow, which is why it trails PowerGear on
-dynamic power.
+activities are invisible to HL-Pow, which the paper gives as the reason it
+trails PowerGear on dynamic power (12.67% vs 8.81% in its Table I).  This
+simulated substrate does not reproduce that gap at the default benchmark
+scale: there HL-Pow's dynamic-power error (6.09%) is slightly below
+PowerGear's (6.15%).
 """
 
 from __future__ import annotations

@@ -52,8 +52,9 @@ class DatasetConfig:
     """Configuration of the dataset generator.
 
     The paper uses ~500 design points per kernel generated with Vivado HLS on
-    full-size PolyBench; the defaults here are laptop-sized (see
-    EXPERIMENTS.md) and every knob can be raised toward the paper's scale.
+    full-size PolyBench; the defaults here are laptop-sized and every knob
+    can be raised toward the paper's scale (the benchmark harness exposes
+    them as ``POWERGEAR_BENCH_*`` variables, see ``benchmarks/conftest.py``).
     """
 
     kernel_size: int = 8

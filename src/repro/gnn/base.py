@@ -35,52 +35,6 @@ def grouped_forward_enabled() -> bool:
     return value not in ("off", "0", "false", "no")
 
 
-#: Environment override for the inference forward's segment size (in nodes).
-SEGMENT_ENV_VAR = "REPRO_FORWARD_SEGMENT_NODES"
-#: Default target nodes per forward segment.  Large enough that every GEMM
-#: in a segment's forward runs at near-peak BLAS efficiency, small enough
-#: that huge packed batches decompose into many shardable units.
-DEFAULT_SEGMENT_NODES = 4096
-
-
-def forward_segment_nodes() -> int:
-    """Target nodes per inference forward segment (env-overridable)."""
-    raw = os.environ.get(SEGMENT_ENV_VAR, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_SEGMENT_NODES
-    return max(1, value)
-
-
-def segment_boundaries(node_counts: np.ndarray, target_nodes: int) -> np.ndarray:
-    """Graph-aligned segment boundaries for a packed batch's forward.
-
-    Greedy: accumulate whole graphs until the running node count reaches
-    ``target_nodes``, close the segment, reset the accumulator.  The rule is
-    *Markovian* — the state resets at every boundary — so re-segmenting any
-    sub-batch that starts and ends on boundaries reproduces exactly the
-    interior boundaries of the full batch.  That suffix property is what
-    lets the pooled forward hand whole-segment unions to workers and still
-    replay the serial path's per-segment computations bit for bit: BLAS
-    GEMM results depend on the matrix shapes (row slices of a large matmul
-    are *not* bitwise-reproducible by a smaller matmul), so bitwise
-    equality across serial and sharded execution requires that both sides
-    run the exact same per-segment shapes — which sharing this decomposition
-    guarantees.
-    """
-    boundaries = [0]
-    accumulated = 0
-    for graph_id, count in enumerate(node_counts):
-        accumulated += int(count)
-        if accumulated >= target_nodes:
-            boundaries.append(graph_id + 1)
-            accumulated = 0
-    if boundaries[-1] != len(node_counts):
-        boundaries.append(len(node_counts))
-    return np.asarray(boundaries, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class RelationGroups:
     """Relation-sorted edge layout for the grouped one-GEMM forward.
@@ -133,10 +87,6 @@ class GraphBatch:
     _pool_offsets: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
-    _graph_segments: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
-    _segment_slices: tuple | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_graph(
@@ -241,100 +191,17 @@ class GraphBatch:
             self._pool_offsets = np.array([0, self.num_nodes], dtype=np.int64)
         return self._pool_offsets
 
-    def graph_segments(self) -> np.ndarray:
-        """Graph-aligned forward segment boundaries, memoised.
-
-        ``(S + 1,)`` cumulative graph indices delimiting the deterministic
-        segments the inference forward runs over (see
-        :func:`segment_boundaries`).  A batch below the segment size yields
-        the trivial ``[0, num_graphs]`` — one segment, identical to the
-        historical whole-pack forward.
-        """
-        if self._graph_segments is None:
-            counts = np.bincount(self.batch, minlength=self.num_graphs)
-            self._graph_segments = segment_boundaries(
-                counts, forward_segment_nodes()
-            )
-        return self._graph_segments
-
-    def slice_graphs(self, start: int, stop: int) -> "GraphBatch":
-        """Self-contained sub-batch of the contiguous graph range [start, stop).
-
-        Node rows are contiguous in pack order so they slice as views; edges
-        are selected by their graph membership (the ``w/o dir.`` ablation
-        appends reverse edges at the tail, so edge rows are *not* guaranteed
-        graph-contiguous) and keep their original relative order, which is
-        what keeps every destination's scatter accumulation chain identical
-        to the full batch's.  Edge and graph indices are rebased to the
-        slice's origin.  The full range returns ``self`` (shared memo dicts).
-        """
-        if start == 0 and stop == self.num_graphs:
-            return self
-        node_bounds = np.searchsorted(self.batch, [start, stop], side="left")
-        node_lo, node_hi = int(node_bounds[0]), int(node_bounds[1])
-        if self.num_edges:
-            edge_graphs = self.batch[self.edge_index[0]]
-            edge_ids = np.flatnonzero((edge_graphs >= start) & (edge_graphs < stop))
-        else:
-            edge_ids = np.zeros(0, dtype=np.int64)
-        if edge_ids.size and int(edge_ids[-1]) - int(edge_ids[0]) + 1 == edge_ids.size:
-            # Contiguous edge range (the common directed-pack layout):
-            # slice views instead of fancy-index copies.
-            edge_sel: slice | np.ndarray = slice(int(edge_ids[0]), int(edge_ids[-1]) + 1)
-        else:
-            edge_sel = edge_ids
-        edge_index = np.ascontiguousarray(
-            self.edge_index[:, edge_sel], dtype=np.int64
-        ) - np.int64(node_lo)
-        graph_ids = np.ascontiguousarray(self.batch[node_lo:node_hi]) - np.int64(start)
-        return GraphBatch(
-            node_features=Tensor(self.node_features.data[node_lo:node_hi]),
-            edge_features=Tensor(self.edge_features.data[edge_sel]),
-            edge_index=edge_index,
-            edge_types=np.ascontiguousarray(self.edge_types[edge_sel], dtype=np.int64),
-            batch=graph_ids,
-            metadata=Tensor(self.metadata.data[start:stop]),
-            num_nodes=node_hi - node_lo,
-            num_graphs=stop - start,
-        )
-
-    def segment_batches(self) -> tuple:
-        """The forward-segment sub-batches, memoised for the batch's lifetime.
-
-        Single-segment batches return ``(self,)`` so small packs keep the
-        historical whole-pack forward (and its memoised bookkeeping) with
-        zero slicing overhead.  Memoising the slices means every ensemble
-        member forwarding this batch reuses the same sub-batch objects —
-        and therefore the same relation bookkeeping and identity-keyed
-        backend operator caches.
-        """
-        if self._segment_slices is None:
-            boundaries = self.graph_segments()
-            if len(boundaries) <= 2:
-                self._segment_slices = (self,)
-            else:
-                self._segment_slices = tuple(
-                    self.slice_graphs(int(lo), int(hi))
-                    for lo, hi in zip(boundaries[:-1], boundaries[1:])
-                )
-        return self._segment_slices
-
     def precompute(self, num_relations: int) -> "GraphBatch":
         """Eagerly materialise all relation bookkeeping (thread-safe reads).
 
-        After this, every lazily-memoised structure is populated — including
-        the forward segments and their own relation bookkeeping — so
-        concurrent readers (pooled-forward workers sharing one attached
-        batch) only ever *read* the memo dicts.
+        After this, every lazily-memoised structure is populated, so
+        concurrent readers only ever *read* the memo dicts.
         """
         self.relation_groups(num_relations)
         self.pool_offsets
         for relation in range(num_relations):
             self.relation_edge_ids(relation, num_relations)
             self.relation_destinations(relation, num_relations)
-        for segment in self.segment_batches():
-            if segment is not self:
-                segment.precompute(num_relations)
         return self
 
 
@@ -487,42 +354,22 @@ class PowerGNN(Module):
                     packed = HeteroGraph.pack(graphs[start : start + batch_size])
                     batch = GraphBatch.from_graph(self.prepare_graph(packed))
                     with backend.forward_scope():
-                        outputs.append(self._forward_segmented(batch))
+                        outputs.append(
+                            np.array(self.forward_batch(batch).numpy()).reshape(-1)
+                        )
         self.train()
         return np.concatenate(outputs) if outputs else np.zeros(0)
-
-    def _forward_segmented(self, batch: GraphBatch) -> np.ndarray:
-        """Inference forward over the batch's deterministic segments.
-
-        Every packed inference forward — serial or pooled — runs segment by
-        segment (:meth:`GraphBatch.segment_batches`) and concatenates, so
-        the GEMM shapes the BLAS sees are a pure function of the batch's
-        per-graph node counts, never of how the batch was chunked or
-        sharded.  That is the property that makes graph-axis-sharded pooled
-        prediction bitwise-identical to the serial path: BLAS kernels pick
-        shape-dependent blocking, so only identical per-segment shapes give
-        identical bits.  Callers own eval/no-grad mode and the backend
-        forward scope; each segment's output is copied out of the scope's
-        arena before the next segment recycles it.
-        """
-        parts = [
-            np.array(self.forward_batch(segment).numpy()).reshape(-1)
-            for segment in batch.segment_batches()
-        ]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def predict_prepared(self, batch: GraphBatch) -> np.ndarray:
         """Predictions for an already prepared batch (no autograd, eval mode).
 
         Runs inside one backend forward scope: pooling backends serve the
         whole pass from reused workspaces, so the returned vector is copied
-        out of the arena before the scope recycles it.  The forward itself
-        is segmented (see :meth:`_forward_segmented`), which is what keeps
-        batched prediction bitwise-reproducible under graph-axis sharding.
+        out of the arena before the scope recycles it.
         """
         self.eval()
         with no_grad(), active_backend().forward_scope():
-            predictions = self._forward_segmented(batch)
+            predictions = np.array(self.forward_batch(batch).numpy()).reshape(-1)
         self.train()
         return predictions
 

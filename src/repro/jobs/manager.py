@@ -23,8 +23,10 @@ submit/poll/stream/cancel lifecycle:
   resumable by construction).
 
 The manager needs almost nothing from the service — ``open_exploration``,
-the close-hook pair, and (optionally) an ``obs`` bundle — so tests drive it
-with stubs and the real service plugs in unchanged.
+the close-hook pair, (optionally) an ``obs`` bundle, and
+``current_plan_seq`` when the service has a deployment ``resolver`` (a job
+pins the live plan seq at submit) — so tests drive it with stubs and the
+real service plugs in unchanged.
 """
 
 from __future__ import annotations
@@ -173,6 +175,12 @@ class JobManager:
         if budget is not None and dse_config is not None:
             raise ValueError("pass either budget or dse_config, not both")
         params = {"budget": budget, "dse_config": dse_config}
+        plan_seq = None
+        if getattr(self.service, "resolver", None) is not None:
+            # Pin the deployment plan at admission, not at first run: a job
+            # still queued when a new plan lands keeps the plan it was
+            # submitted under (0 pins "no plan was installed").
+            plan_seq = self.service.current_plan_seq() or 0
         with self._cond:
             if self._closed:
                 raise RuntimeError("job manager is closed")
@@ -189,6 +197,7 @@ class JobManager:
                 kernel=kernel,
                 client=client,
                 params=params,
+                plan_seq=plan_seq,
             )
             self._jobs[job.job_id] = job
             if self.store is not None:
@@ -446,12 +455,12 @@ class JobManager:
             dse_config = DSEConfig(**dse_config)
         kwargs = {}
         if getattr(self.service, "resolver", None) is not None:
-            # Pin the deployment plan: a fresh job (plan_seq None) snapshots
-            # the live plan once here; a resumed job replays under the exact
-            # plan seq it started with (0 pins "no plan"), so its trajectory
-            # stays bitwise even if a new plan was published while it was
-            # interrupted.  Services without a resolver never see the kwarg
-            # (the manager's contract with stub services is unchanged).
+            # Replay under the plan seq pinned at submit (0 pins "no plan"),
+            # so the trajectory stays bitwise even if a new plan was
+            # published while the job queued or was interrupted.  A
+            # pre-deployment checkpoint (plan_seq None) snapshots the live
+            # plan once here.  Services without a resolver never see the
+            # kwarg (the manager's contract with stub services is unchanged).
             kwargs["plan_seq"] = job.plan_seq
         session = self.service.open_exploration(
             job.kernel,

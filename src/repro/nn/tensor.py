@@ -185,6 +185,10 @@ class Tensor:
             topo.append(node)
 
         build(self)
+        # ``build`` refers to itself through its closure; unbinding it breaks
+        # that cycle, which would otherwise keep ``topo`` — the whole graph,
+        # activations and gradients — alive until the cyclic collector runs.
+        del build
         self._accumulate(gradient)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:

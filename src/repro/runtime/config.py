@@ -84,27 +84,13 @@ class RuntimeConfig:
     min_designs_per_worker: int = 2
 
     #: Number of pooled-forward worker processes; 0 or 1 keeps the packed
-    #: forward in the service process.  Only engages for ensemble models with
-    #: at least ``forward_min_members`` members (weights are published once
-    #: as a read-only shared-memory block; see
+    #: forward in the service process.  Only engages for ensemble models of
+    #: at least two members, whose members the workers split (weights are
+    #: published once as a read-only shared-memory block; see
     #: :class:`~repro.runtime.pool.ForwardPool`).
     forward_workers: int = 0
-    #: Ensembles smaller than this do not shard the *member* axis: sharding
-    #: a handful of members across processes costs more in IPC than the
-    #: forwards themselves.  (Batches may still shard the graph axis — see
-    #: ``forward_shard_axis``.)
-    forward_min_members: int = 8
-    #: Which axis of the packed forward the pool shards: ``"members"`` (one
-    #: contiguous member slice per worker), ``"graphs"`` (every member over a
-    #: contiguous graph slice of the pack — the lever for large batches on
-    #: small ensembles and single-model flows) or ``"auto"`` (members when
-    #: the ensemble has at least ``forward_min_members``, otherwise graphs
-    #: for batches of at least ``forward_min_graphs`` designs).  Any choice
-    #: is bitwise-identical to the serial forward.
-    forward_shard_axis: str = "auto"
-    #: Batches smaller than this do not shard the *graph* axis: slicing a
-    #: handful of graphs across processes costs more in IPC than the pack's
-    #: forward.
+    #: Batches smaller than this run the forward in-process: on a handful of
+    #: designs the pool's IPC costs more than the member forwards it splits.
     forward_min_graphs: int = 8
 
     #: Maximum coalesced batch: the micro-batcher flushes as soon as this many
@@ -214,12 +200,6 @@ class RuntimeConfig:
             raise ValueError("pool_restart_budget_decay_s must be >= 0")
         if self.forward_workers < 0:
             raise ValueError("forward_workers must be >= 0")
-        if self.forward_min_members < 2:
-            raise ValueError("forward_min_members must be >= 2")
-        if self.forward_shard_axis not in ("auto", "members", "graphs"):
-            raise ValueError(
-                "forward_shard_axis must be auto, members or graphs"
-            )
         if self.forward_min_graphs < 2:
             raise ValueError("forward_min_graphs must be >= 2")
         if self.start_method not in (None, "fork", "spawn", "forkserver"):

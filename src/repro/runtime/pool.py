@@ -11,20 +11,15 @@ Two pools live here, both built on the same contiguous-shard decomposition
   config, kernel, directives)``.  Results concatenate in shard order, so
   pooled output is **bitwise-identical** to the serial path's — same floats,
   same graphs, same content addresses.
-* :class:`ForwardPool` shards the **packed mega-graph forward itself** along
-  one of two axes: across ensemble **members** (each worker computes a
-  contiguous member slice of the ``(num_members, num_graphs)`` prediction
-  stack) or across the pack's **graphs** (each worker forwards all members
-  over a contiguous union of the batch's deterministic *forward segments* —
-  the lever for large batches on shallow or single-model flows).  Weights
-  live in read-only **shared-memory parameter blocks** and each chunk's
-  packed arrays in a **shared array bundle** (:mod:`repro.runtime.shm`), so
-  tasks carry only slice bounds; the parent concatenates shard stacks along
-  the sharded axis before averaging — so pooled predictions are
-  bitwise-identical to :meth:`repro.flow.powergear.PowerGear.predict_batch`
-  (the serial forward is itself segmented, so both sides run identical
-  per-segment GEMM shapes — see
-  :func:`repro.gnn.base.segment_boundaries`).
+* :class:`ForwardPool` shards the **packed mega-graph forward of an
+  ensemble** across its members: each worker computes a contiguous member
+  slice of the ``(num_members, num_graphs)`` prediction stack.  Weights live
+  in a read-only **shared-memory parameter block** and each chunk's packed
+  arrays in a **shared array bundle** (:mod:`repro.runtime.shm`), so tasks
+  carry only a segment spec and member bounds; the parent concatenates the
+  shard stacks in member order before averaging, so pooled predictions are
+  bitwise-identical to
+  :meth:`repro.flow.powergear.PowerGear.predict_batch`.
 
 Worker warm-up happens **once per process, never per task**:
 
@@ -34,10 +29,10 @@ Worker warm-up happens **once per process, never per task**:
   keep it alive across tasks, so per-kernel serving state (stimuli, baseline
   report, lowering / activity caches) warms once per process;
 * forward workers attach the shared parameter segment and rebuild every
-  member model around zero-copy read-only views in their initializer, and
-  attach each chunk's array bundle once on first use — a task carries only
-  a segment spec and slice bounds, **no per-task weight or batch pickling**,
-  one physical copy of the ensemble and of each packed batch machine-wide.
+  member model around zero-copy read-only views in their initializer; each
+  task attaches its chunk's array bundle, forwards, drops its views and
+  closes the mapping — **no per-task weight or batch pickling**, one
+  physical copy of the ensemble and of each packed batch machine-wide.
 
 Both pools run their workers on :class:`concurrent.futures.ProcessPoolExecutor`
 rather than ``multiprocessing.Pool``: a worker that dies abruptly (SIGKILLed
@@ -66,9 +61,7 @@ from repro.flow.dataset_gen import (
     run_featurisation_task,
     run_featurisation_task_with_meta,
 )
-from repro.gnn.base import forward_segment_nodes, segment_boundaries
 from repro.graph.dataset import GraphSample
-from repro.graph.hetero_graph import HeteroGraph
 from repro.hls.pragmas import DesignDirectives
 from repro.runtime.shm import (
     ArrayBundleSpec,
@@ -324,35 +317,23 @@ class WorkerPool:
 #: those views alive.  Built once by :func:`forward_worker_init`.
 _FORWARD_MODELS: list | None = None
 _FORWARD_SHM = None
-#: The worker's current batch-bundle attachment, ``(shm_name, handle,
-#: views)``: one packed chunk's arrays stay mapped across every shard task
-#: that references them, and re-map only when a task names a new segment.
-_FORWARD_BUNDLE: tuple | None = None
-#: The :class:`~repro.gnn.base.GraphBatch` built from the current bundle and
-#: slice bounds, ``(key, batch)``: member shards of one chunk reuse the same
-#: relation bookkeeping instead of re-deriving it per task.
-_FORWARD_BATCH: tuple | None = None
 
 
 @dataclass(frozen=True)
 class ForwardTask:
-    """One shard of pooled prediction: slice bounds into a shared batch.
+    """One shard of pooled prediction: a member range over a shared chunk.
 
     The packed chunk is already scaled, ablation-transformed and packed by
     the parent, and its arrays live in a :class:`SharedArrayBundle` segment —
-    the task itself carries only the tiny picklable spec plus contiguous
-    slice bounds along both shard axes (a member range and a graph range;
-    graph ranges always start and end on the batch's deterministic forward
-    segment boundaries).  Deliberately payload-free: neither weights nor the
-    packed batch are ever pickled per task.
+    the task itself carries only the tiny picklable spec plus a contiguous
+    member range.  Deliberately payload-free: neither weights nor the packed
+    batch are ever pickled per task.
     """
 
     chunk_id: int
     bundle: ArrayBundleSpec
     member_start: int
     member_stop: int
-    graph_start: int
-    graph_stop: int
 
 
 def forward_worker_init(
@@ -370,14 +351,8 @@ def forward_worker_init(
     construction code yields identical ``parameters()`` traversal order.
     """
     global _FORWARD_MODELS, _FORWARD_SHM
-    import atexit
-
     from repro.backend import set_default_backend
 
-    # Drop the batch views before the interpreter tears the mmap down:
-    # SharedMemory.__del__ raises (and noisily ignores) BufferError when
-    # numpy views still reference the buffer at shutdown.
-    atexit.register(_release_forward_bundle)
     set_default_backend(backend)
     shm, views = attach_parameter_block(spec)
     node_dim, edge_dim, meta_dim = dims
@@ -399,71 +374,12 @@ def forward_worker_init(
     _FORWARD_SHM = shm
 
 
-def _release_forward_bundle() -> None:
-    """Worker-exit hook: drop batch views, then close the bundle mapping."""
-    global _FORWARD_BUNDLE, _FORWARD_BATCH
-    _FORWARD_BATCH = None
-    bundle, _FORWARD_BUNDLE = _FORWARD_BUNDLE, None
-    if bundle is not None:
-        _, shm, views = bundle
-        views.clear()
-        del bundle, views
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - an external view survived
-            pass
-
-
-def _attached_bundle_views(spec: ArrayBundleSpec) -> dict[str, np.ndarray]:
-    """The worker's views of the task's bundle, attaching on segment change.
-
-    A worker holds exactly one bundle attachment at a time: shard tasks of
-    one chunk all name the same segment (cache hit), and the first task of
-    the next chunk rolls the attachment over.  Closing the previous handle is
-    best-effort — live views exported to a still-referenced batch raise
-    ``BufferError``, which leaves a bounded leak until process exit rather
-    than a crash.
-    """
-    global _FORWARD_BUNDLE, _FORWARD_BATCH
-    if _FORWARD_BUNDLE is not None and _FORWARD_BUNDLE[0] == spec.shm_name:
-        return _FORWARD_BUNDLE[2]
-    _FORWARD_BATCH = None
-    if _FORWARD_BUNDLE is not None:
-        previous, _FORWARD_BUNDLE = _FORWARD_BUNDLE, None
-        _, previous_shm, previous_views = previous
-        previous_views.clear()
-        del previous, previous_views
-        try:
-            previous_shm.close()
-        except BufferError:  # pragma: no cover - views outlive the rollover
-            pass
-    shm, views = attach_array_bundle(spec)
-    _FORWARD_BUNDLE = (spec.shm_name, shm, views)
-    return views
-
-
-def _task_batch(task: ForwardTask):
-    """Build (or reuse) the :class:`GraphBatch` for one task's slice bounds.
-
-    The chunk's arrays are wrapped into a zero-copy :class:`GraphBatch` over
-    the shared views, and the task's graph range is cut out of it with
-    :meth:`~repro.gnn.base.GraphBatch.slice_graphs` — the *same* slicing
-    code the serial segmented forward runs, which is what makes the worker's
-    per-segment computations byte-identical to the serial path's.  Graph
-    ranges are unions of whole forward segments, so re-segmenting the slice
-    inside ``predict_prepared`` reproduces exactly the interior boundaries
-    the serial forward uses (the segment rule is Markovian).
-    """
-    global _FORWARD_BATCH
-    key = (task.bundle.shm_name, task.graph_start, task.graph_stop)
-    if _FORWARD_BATCH is not None and _FORWARD_BATCH[0] == key:
-        return _FORWARD_BATCH[1]
+def _shared_batch(views: dict[str, np.ndarray]):
+    """A zero-copy :class:`~repro.gnn.base.GraphBatch` over a chunk's views."""
     from repro.gnn.base import GraphBatch
     from repro.nn.tensor import Tensor
 
-    views = _attached_bundle_views(task.bundle)
-    num_graphs = int(views["metadata"].shape[0])
-    full = GraphBatch(
+    return GraphBatch(
         node_features=Tensor(views["node_features"]),
         edge_features=Tensor(views["edge_features"]),
         edge_index=views["edge_index"],
@@ -471,20 +387,20 @@ def _task_batch(task: ForwardTask):
         batch=views["batch"],
         metadata=Tensor(views["metadata"]),
         num_nodes=int(views["node_features"].shape[0]),
-        num_graphs=num_graphs,
+        num_graphs=int(views["metadata"].shape[0]),
     )
-    batch = full.slice_graphs(task.graph_start, task.graph_stop)
-    _FORWARD_BATCH = (key, batch)
-    return batch
 
 
 def run_forward_task(task: ForwardTask) -> np.ndarray:
     """Execute one shard: the member slice's stacked predictions, in order.
 
-    The forward is deterministic numpy (whatever backend the worker pinned,
-    the kernels are bitwise-identical by contract), so the returned
-    ``(shard_members, shard_graphs)`` block equals the same rows and columns
-    of the serial member stack bit for bit — whichever axis was sharded.
+    The chunk's bundle is attached for this task only.  The batch built over
+    its views dies when the forward returns (it holds no reference cycle),
+    so the views are gone before the mapping closes and no mapping outlives
+    its task.  The forward is deterministic numpy (whatever backend the
+    worker pinned, the kernels are bitwise-identical by contract), so the
+    returned ``(shard_members, num_graphs)`` block equals the same rows of
+    the serial member stack bit for bit.
     """
     if _FORWARD_MODELS is None:
         raise RuntimeError(
@@ -493,13 +409,18 @@ def run_forward_task(task: ForwardTask) -> np.ndarray:
         )
     from repro.gnn.ensemble import stack_member_predictions
 
-    # The exact shard unit the serial path runs (EnsembleRegressor
-    # .predict_members); sharing it is what makes the pooled merge
-    # bitwise-identical by construction.
-    return stack_member_predictions(
-        _FORWARD_MODELS[task.member_start : task.member_stop],
-        _task_batch(task),
-    )
+    shm, views = attach_array_bundle(task.bundle)
+    try:
+        # The exact shard unit the serial path runs (EnsembleRegressor
+        # .predict_members); sharing it is what makes the pooled merge
+        # bitwise-identical by construction.
+        return stack_member_predictions(
+            _FORWARD_MODELS[task.member_start : task.member_stop],
+            _shared_batch(views),
+        )
+    finally:
+        views.clear()
+        shm.close()
 
 
 def run_forward_task_with_meta(task: ForwardTask):
@@ -521,7 +442,6 @@ def run_forward_task_with_meta(task: ForwardTask):
         time.perf_counter() - clock_start,
         chunk=task.chunk_id,
         members=task.member_stop - task.member_start,
-        graphs=task.graph_stop - task.graph_start,
     )
 
 
@@ -534,9 +454,6 @@ class ForwardPoolStats:
     shards: int = 0
     member_forwards: int = 0
     shared_bytes: int = 0
-    #: Axis the most recent batch sharded over (``members`` / ``graphs``; a
-    #: mixed multi-chunk batch reports the last chunk's choice).
-    shard_axis: str = ""
     #: Bytes of packed-batch arrays published through shared memory for the
     #: most recent batch (a gauge, like ``shared_bytes`` for the weights).
     shared_batch_bytes: int = 0
@@ -548,44 +465,44 @@ class ForwardPoolStats:
             "shards": self.shards,
             "member_forwards": self.member_forwards,
             "shared_bytes": self.shared_bytes,
-            "shard_axis": self.shard_axis,
             "shared_batch_bytes": self.shared_batch_bytes,
         }
 
 
+def _publish_chunk(packed) -> SharedArrayBundle:
+    """Copy one packed chunk's arrays into a fresh shared bundle."""
+    metadata = np.asarray(packed.metadata, dtype=np.float64)
+    if metadata.ndim == 1:
+        metadata = metadata.reshape(1, -1)
+    return SharedArrayBundle.create(
+        {
+            "node_features": np.asarray(packed.node_features, dtype=np.float64),
+            "edge_features": np.asarray(packed.edge_features, dtype=np.float64),
+            "edge_index": np.asarray(packed.edge_index, dtype=np.int64),
+            "edge_types": np.asarray(packed.edge_types, dtype=np.int64),
+            "batch": np.asarray(packed.batch, dtype=np.int64),
+            "metadata": metadata,
+        }
+    )
+
+
 class ForwardPool:
-    """Shards a fitted model's packed forward across worker processes.
+    """Shards a fitted ensemble's packed forward across its members.
 
-    Bound to one fitted :class:`~repro.flow.powergear.PowerGear` (the shared
-    segment is a snapshot of its weights at construction).  The parent
-    prepares each chunk exactly as the serial
-    :meth:`~repro.flow.powergear.PowerGear.predict_batch` would — scaler,
-    ablation transforms, block-diagonal pack — publishes the packed arrays
-    through a per-chunk :class:`SharedArrayBundle`, then fans one axis out
-    with :func:`shard_evenly`:
-
-    * ``members`` — each worker forwards a contiguous member slice over the
-      whole pack; shard stacks concatenate along axis 0 (member order).
-    * ``graphs`` — each worker forwards *all* members over a contiguous
-      union of the pack's deterministic forward segments; shard stacks
-      concatenate along axis 1 (graph order).  This is what parallelises
-      large batches on small ensembles — including single-model flows,
-      which have no member axis at all.  Graph-axis parallelism is bounded
-      by the pack's segment count (``REPRO_FORWARD_SEGMENT_NODES`` nodes
-      per segment), because shard cuts anywhere else would change the BLAS
-      GEMM shapes and break bitwise reproducibility.
-
-    Either merge rebuilds the serial ``(members, graphs)`` stack bit for
-    bit, so pooled predictions are bitwise-identical to serial ones: the
-    serial inference forward runs the same per-segment computations in the
-    same order (:meth:`repro.gnn.base.PowerGNN.predict_prepared`).
+    Bound to one fitted :class:`~repro.flow.powergear.PowerGear` whose
+    ensemble has at least two members (the shared segment is a snapshot of
+    its weights at construction).  The parent prepares each chunk exactly as
+    the serial :meth:`~repro.flow.powergear.PowerGear.predict_batch` would —
+    scaler, ablation transforms, block-diagonal pack — publishes the packed
+    arrays through a per-chunk :class:`SharedArrayBundle`, and hands each
+    worker a contiguous member slice (:func:`shard_evenly`).  Shard stacks
+    concatenate in member order into the serial ``(members, graphs)`` stack
+    bit for bit, so pooled predictions are bitwise-identical to serial ones.
 
     IPC cost model: nothing heavy travels in task pickles — weights live in
     the parameter segment and each chunk's packed arrays in the chunk's
-    bundle segment; a task is a spec plus slice bounds (a few hundred
-    bytes).  ``shard_axis="auto"`` prefers the member axis when the ensemble
-    is deep enough (``min_members``) and falls back to the graph axis for
-    batches of at least ``min_graphs`` designs.
+    bundle segment; a task is a spec plus member bounds (a few hundred
+    bytes).
     """
 
     def __init__(
@@ -596,26 +513,19 @@ class ForwardPool:
         backend: str = "numpy",
         stats: ForwardPoolStats | None = None,
         tracer: object | None = None,
-        shard_axis: str = "auto",
-        min_members: int = 8,
-        min_graphs: int = 8,
     ) -> None:
         if num_workers < 2:
             raise ValueError("a forward pool needs at least 2 workers")
-        if shard_axis not in ("auto", "members", "graphs"):
-            raise ValueError("shard_axis must be auto, members or graphs")
         ensemble = getattr(model, "ensemble", None)
-        if (ensemble is None or not ensemble.members) and getattr(
-            model, "model", None
-        ) is None:
-            raise ValueError("the forward pool requires a fitted model")
+        if ensemble is None or len(ensemble.members) < 2:
+            raise ValueError(
+                "the forward pool shards ensemble members: it requires a "
+                "fitted ensemble of at least two members"
+            )
         self.model = model
         self.num_workers = num_workers
         self.start_method = start_method
         self.backend = backend
-        self.shard_axis = shard_axis
-        self.min_members = min_members
-        self.min_graphs = min_graphs
         # An injected stats object survives pool rebuilds: the supervisor
         # passes one so lifetime counters aggregate across restarts/resizes.
         self.stats = stats if stats is not None else ForwardPoolStats()
@@ -628,8 +538,7 @@ class ForwardPool:
 
     @property
     def num_members(self) -> int:
-        ensemble = getattr(self.model, "ensemble", None)
-        return len(ensemble.members) if ensemble is not None else 1
+        return len(self.model.ensemble.members)
 
     def serves(self, model) -> bool:
         """Whether this pool's shared weights are ``model``'s weights.
@@ -643,13 +552,6 @@ class ForwardPool:
         binding and must not assume this pool's segment.
         """
         return model is self.model
-
-    def _member_models(self) -> list:
-        """The forward models in member order (a single-model flow has one)."""
-        ensemble = getattr(self.model, "ensemble", None)
-        if ensemble is not None:
-            return [member.model for member in ensemble.members]
-        return [self.model.model]
 
     def _model_fingerprint(self) -> str | None:
         """The bound model's content fingerprint, for segment provenance."""
@@ -670,26 +572,29 @@ class ForwardPool:
         through ``PowerGear.prepare_samples``, chunk boundaries and graph
         preparation come from ``EnsembleRegressor.iter_prepared_chunks`` and
         the final clamp is ``PowerGear.clamp_predictions`` — only the member
-        axis fan-out/merge is pool-specific.
+        fan-out/merge is pool-specific.
         """
         if not samples:
             return np.zeros(0)
         pool = self._ensure_pool()
         prepared = self.model.prepare_samples(samples)
         graphs = [sample.graph for sample in prepared]
+        members = shard_evenly(self.num_members, self.num_workers)
 
-        chunks: list[tuple[int, int, str, int]] = []
+        chunks: list[tuple[int, int]] = []
         tasks: list[ForwardTask] = []
         bundles: list[SharedArrayBundle] = []
         try:
             for chunk_id, (start, length, packed) in enumerate(
-                self._iter_chunks(graphs, batch_size)
+                self.model.ensemble.iter_prepared_chunks(graphs, batch_size)
             ):
-                axis = self._choose_axis(packed.num_graphs)
-                bundle, chunk_tasks = self._chunk_tasks(chunk_id, packed, axis)
+                bundle = _publish_chunk(packed)
                 bundles.append(bundle)
-                chunks.append((start, length, axis, len(chunk_tasks)))
-                tasks.extend(chunk_tasks)
+                chunks.append((start, length))
+                tasks.extend(
+                    ForwardTask(chunk_id, bundle.spec, part.start, part.stop)
+                    for part in members
+                )
             traced = self.tracer is not None
             worker_fn = run_forward_task_with_meta if traced else run_forward_task
             try:
@@ -716,111 +621,17 @@ class ForwardPool:
             self.stats.batches += 1
             self.stats.designs += len(graphs)
             self.stats.shards += len(tasks)
-            self.stats.member_forwards += sum(
-                task.member_stop - task.member_start for task in tasks
-            )
-            if chunks:
-                self.stats.shard_axis = chunks[-1][2]
+            self.stats.member_forwards += self.num_members * len(chunks)
             self.stats.shared_batch_bytes = sum(
                 bundle.nbytes for bundle in bundles
             )
         outputs = np.zeros(len(graphs))
-        cursor = 0
-        for start, length, axis, num_shards in chunks:
-            stacks = shard_stacks[cursor : cursor + num_shards]
-            cursor += num_shards
-            # Contiguous-shard merge: member shards stack along the member
-            # axis, graph shards along the graph axis — either way the
-            # result is the serial (members, graphs) stack, bit for bit.
-            stack = np.concatenate(stacks, axis=0 if axis == "members" else 1)
-            outputs[start : start + length] = stack.mean(axis=0)
+        for index, (start, length) in enumerate(chunks):
+            # Contiguous member shards stack back into the serial
+            # (members, graphs) stack, bit for bit.
+            stacks = shard_stacks[index * len(members) : (index + 1) * len(members)]
+            outputs[start : start + length] = np.concatenate(stacks).mean(axis=0)
         return type(self.model).clamp_predictions(outputs)
-
-    # ------------------------------------------------------------- sharding
-
-    def _iter_chunks(self, graphs: list, batch_size: int | None):
-        """Chunk + pack + prepare, matching the serial path for this model.
-
-        Ensemble flows delegate to
-        :meth:`~repro.gnn.ensemble.EnsembleRegressor.iter_prepared_chunks`
-        (the single source of truth for their chunk boundaries); single-model
-        flows mirror the packing ``PowerGNN.predict`` performs.
-        """
-        ensemble = getattr(self.model, "ensemble", None)
-        if ensemble is not None:
-            yield from ensemble.iter_prepared_chunks(graphs, batch_size)
-            return
-        reference = self.model.model
-        chunk_size = len(graphs) if batch_size is None else max(1, batch_size)
-        for start in range(0, len(graphs), chunk_size):
-            chunk = graphs[start : start + chunk_size]
-            yield start, len(chunk), reference.prepare_graph(HeteroGraph.pack(chunk))
-
-    def _choose_axis(self, num_graphs: int) -> str:
-        """Shard axis for one packed chunk (explicit config wins over auto)."""
-        if self.shard_axis != "auto":
-            return self.shard_axis
-        if self.num_members >= self.min_members:
-            return "members"
-        if num_graphs >= self.min_graphs:
-            return "graphs"
-        return "members" if self.num_members > 1 else "graphs"
-
-    def _chunk_tasks(
-        self, chunk_id: int, packed: HeteroGraph, axis: str
-    ) -> tuple[SharedArrayBundle, list[ForwardTask]]:
-        """Publish one packed chunk's arrays and cut its shard tasks."""
-        metadata = np.asarray(packed.metadata, dtype=np.float64)
-        if metadata.ndim == 1:
-            metadata = metadata.reshape(1, -1)
-        graph_ids = np.asarray(packed.batch, dtype=np.int64)
-        edge_index = np.asarray(packed.edge_index, dtype=np.int64)
-        bundle = SharedArrayBundle.create(
-            {
-                "node_features": np.asarray(packed.node_features, dtype=np.float64),
-                "edge_features": np.asarray(packed.edge_features, dtype=np.float64),
-                "edge_index": edge_index,
-                "edge_types": np.asarray(packed.edge_types, dtype=np.int64),
-                "batch": graph_ids,
-                "metadata": metadata,
-            }
-        )
-        num_graphs = int(packed.num_graphs)
-        tasks: list[ForwardTask] = []
-        if axis == "members":
-            for part in shard_evenly(self.num_members, self.num_workers):
-                tasks.append(
-                    ForwardTask(
-                        chunk_id=chunk_id,
-                        bundle=bundle.spec,
-                        member_start=part.start,
-                        member_stop=part.stop,
-                        graph_start=0,
-                        graph_stop=num_graphs,
-                    )
-                )
-            return bundle, tasks
-        # Graph axis: shard boundaries must coincide with the batch's
-        # deterministic forward-segment boundaries — the serial inference
-        # forward runs segment by segment, so handing each worker a union
-        # of *whole* segments makes it replay exactly the serial path's
-        # per-segment GEMM shapes (BLAS results are shape-dependent, so
-        # arbitrary graph cuts would not be bitwise-reproducible).
-        boundaries = segment_boundaries(
-            np.bincount(graph_ids, minlength=num_graphs), forward_segment_nodes()
-        )
-        for part in shard_evenly(len(boundaries) - 1, self.num_workers):
-            tasks.append(
-                ForwardTask(
-                    chunk_id=chunk_id,
-                    bundle=bundle.spec,
-                    member_start=0,
-                    member_stop=self.num_members,
-                    graph_start=int(boundaries[part.start]),
-                    graph_stop=int(boundaries[part.stop]),
-                )
-            )
-        return bundle, tasks
 
     def heartbeats(self) -> dict[int, float]:
         """``pid -> last-seen wall clock`` of the workers (passive + probed)."""
@@ -862,7 +673,7 @@ class ForwardPool:
             if self._closed:
                 raise RuntimeError("cannot predict through a closed ForwardPool")
             if self._pool is None:
-                members = self._member_models()
+                members = [member.model for member in self.model.ensemble.members]
                 reference = members[0]
                 dims = (
                     reference.node_feature_dim,

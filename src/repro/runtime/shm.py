@@ -14,9 +14,8 @@ lifecycle:
 * :class:`SharedArrayBundle` — one packed mega-graph batch's arrays (node /
   edge features, edge index, relation types, graph assignment, metadata).
   Published per chunk by the forward pool so that *tasks* carry only a tiny
-  picklable :class:`ArrayBundleSpec` plus slice bounds: workers attach and
-  view instead of unpickling the packed batch once per shard, which is what
-  makes graph-axis sharding of large single-model batches pay off.
+  picklable :class:`ArrayBundleSpec` plus member bounds: workers attach and
+  view instead of unpickling the packed batch once per shard.
 
 Layout: parameters are packed back to back as contiguous float64 in
 ``(member, parameter)`` traversal order — the order

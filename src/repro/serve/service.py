@@ -23,7 +23,7 @@ Every endpoint records wall-clock latency and throughput in
 The service optionally runs on the parallel runtime of :mod:`repro.runtime`
 (pass ``runtime=RuntimeConfig(...)``): featurisation of large batches shards
 across a multi-process :class:`~repro.runtime.pool.WorkerPool`, the packed
-forward of a large ensemble shards across a
+forward of an ensemble shards its members across a
 :class:`~repro.runtime.pool.ForwardPool` on shared-memory parameter blocks,
 concurrent single-design ``estimate`` calls coalesce into packed batches
 through a :class:`~repro.runtime.microbatch.MicroBatcher`, and the inference
@@ -1110,10 +1110,10 @@ class PowerEstimationService:
     ) -> np.ndarray:
         """One batched forward over ``samples`` — pooled when it pays off.
 
-        Large ensembles shard the packed forward across the
-        :class:`~repro.runtime.pool.ForwardPool` (read-only shared-memory
-        weights, deterministic contiguous-member merge); everything else runs
-        in-process.  Both paths produce bitwise-identical predictions, and
+        Ensemble batches of at least ``forward_min_graphs`` designs shard the
+        packed forward across the :class:`~repro.runtime.pool.ForwardPool`
+        (read-only shared-memory weights, deterministic contiguous-member
+        merge); everything else runs in-process.  Both paths produce bitwise-identical predictions, and
         both route their kernels through the service's pinned backend (the
         pool pins the same backend in its workers).
 
@@ -1218,24 +1218,16 @@ class PowerEstimationService:
     def _forward_supervisor_handle(self, num_designs: int) -> SupervisedPool | None:
         """The forward pool's supervisor, or ``None`` when pooling can't pay.
 
-        Viability is per shardable axis: the member axis needs an ensemble of
-        at least ``forward_min_members``; the graph axis needs a batch of at
-        least ``forward_min_graphs`` designs (and works for single-model
-        flows).  ``forward_shard_axis`` pins one axis — ``auto`` engages the
-        pool when *either* axis is viable and lets the pool pick per chunk.
+        The pool splits ensemble members, so it engages only for an ensemble
+        of at least two members and a batch of at least
+        ``forward_min_graphs`` designs.
         """
         if not self.runtime.parallel_forward:
             return None
+        if num_designs < self.runtime.forward_min_graphs:
+            return None
         ensemble = self.model.ensemble
-        members = len(ensemble.members) if ensemble is not None else 1
-        members_ok = members >= self.runtime.forward_min_members
-        graphs_ok = num_designs >= self.runtime.forward_min_graphs
-        axis = self.runtime.forward_shard_axis
-        if axis == "members" and not members_ok:
-            return None
-        if axis == "graphs" and not graphs_ok:
-            return None
-        if axis == "auto" and not (members_ok or graphs_ok):
+        if ensemble is None or len(ensemble.members) < 2:
             return None
         with self._pool_lock:
             if self._closed:
@@ -1251,12 +1243,9 @@ class PowerEstimationService:
                         backend=self.backend.name,
                         stats=self._forward_pool_stats,
                         tracer=self.obs.tracer,
-                        shard_axis=self.runtime.forward_shard_axis,
-                        min_members=self.runtime.forward_min_members,
-                        min_graphs=self.runtime.forward_min_graphs,
                     ),
-                    # Fixed size: the shard axes are data axes (members /
-                    # graphs of one batch), so queue depth says nothing about
+                    # Fixed size: the shard axis is a data axis (the members
+                    # of one ensemble), so queue depth says nothing about
                     # useful parallelism — supervision without autoscaling.
                     min_workers=workers,
                     max_workers=workers,

@@ -443,6 +443,31 @@ def test_jobs_pin_the_plan_seq_they_started_under(fresh_registry):
     assert late["plan_seq"] == 1
 
 
+def test_queued_jobs_keep_the_plan_seq_they_were_submitted_under(fresh_registry):
+    """A job pins its plan at submit, not when a runner picks it up: with
+    the only runner busy, a job still queued when a plan is published must
+    run under the plan that was live at submission ("no plan", 0)."""
+    service = build_service(fresh_registry)
+    manager = JobManager(service, runners=1, step_delay_s=0.2)
+    try:
+        busy = manager.submit("atax", budget=0.3)
+        queued = manager.submit("gemm", budget=0.3)
+        assert manager.get(queued["job_id"])["state"] == "queued"
+        service.put_deployment(canary_doc())
+        assert service.current_plan_seq() == 1
+        first = manager.wait(busy["job_id"], timeout=120)
+        second = manager.wait(queued["job_id"], timeout=120)
+        assert first["state"] == "succeeded" and second["state"] == "succeeded"
+        assert first["plan_seq"] == 0
+        assert second["plan_seq"] == 0
+        # A job submitted after the publish pins the live seq.
+        late = manager.wait(manager.submit("atax", budget=0.3)["job_id"], timeout=120)
+        assert late["plan_seq"] == 1
+    finally:
+        manager.close()
+        service.close()
+
+
 def test_open_exploration_pins_an_explicit_seq(fresh_registry):
     service = build_service(fresh_registry)
     try:

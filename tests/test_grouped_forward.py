@@ -1,4 +1,4 @@
-"""PR-9 acceptance suite: grouped one-GEMM forward + graph-axis sharding.
+"""Grouped one-GEMM forward, the tolerance tier and the pooled forward.
 
 Three contracts under test, all bitwise unless explicitly relaxed:
 
@@ -10,13 +10,9 @@ Three contracts under test, all bitwise unless explicitly relaxed:
   advertise a non-``None`` ``tolerance``; its predictions stay within the
   advertised ``(rtol, atol)`` of the bitwise reference, and its casts are
   confined to inference forward scopes (training math stays exact f64).
-* **Forward segments / graph axis** — the deterministic graph-aligned
-  segment decomposition is Markovian (boundary-aligned sub-ranges re-segment
-  identically), ``slice_graphs`` reproduces an independent pack of the same
-  graphs (including the non-contiguous edge layout of the ``w/o dir.``
-  ablation), and the graph-axis-sharded pooled forward — including across a
-  real SIGKILL of a forward worker mid-service — is bitwise-identical to
-  serial.
+* **Pooled forward** — packed batches ride shared array bundles, and the
+  member-sharded pooled forward stays bitwise-identical to serial across a
+  real SIGKILL of a forward worker mid-service.
 """
 
 from __future__ import annotations
@@ -32,17 +28,11 @@ import pytest
 from repro.backend import NumpyBackend, OptimizedBackend, get_backend, use_backend
 from repro.backend.optimized import F32_TOLERANCE
 from repro.flow.powergear import PowerGear, PowerGearConfig
-from repro.gnn.base import (
-    GROUPED_ENV_VAR,
-    SEGMENT_ENV_VAR,
-    GraphBatch,
-    segment_boundaries,
-)
+from repro.gnn.base import GROUPED_ENV_VAR
 from repro.gnn.config import GNNConfig
 from repro.gnn.ensemble import EnsembleConfig
 from repro.gnn.trainer import TrainingConfig
-from repro.graph.hetero_graph import HeteroGraph
-from repro.runtime import ForwardPool, RuntimeConfig
+from repro.runtime import RuntimeConfig
 from repro.runtime.shm import SharedArrayBundle, attach_array_bundle
 from repro.serve import EstimateRequest, PowerEstimationService
 
@@ -235,130 +225,29 @@ def test_shared_array_bundle_roundtrip_and_alignment():
         bundle.unlink()  # idempotent owner-side teardown
 
 
-# ------------------------------------------------------------ forward segments
+# ---------------------------------------------------------- pooled forward
 
 
-def test_segment_boundaries_markov_suffix_property():
-    """Re-segmenting any boundary-aligned sub-range reproduces exactly the
-    interior boundaries of the full batch — the property that lets pooled
-    workers hand whole-segment unions through ``slice_graphs`` and still
-    replay the serial path's per-segment GEMM shapes bit for bit."""
-    rng = np.random.default_rng(17)
-    counts = rng.integers(1, 50, size=200)
-    target = 120
-    bounds = segment_boundaries(counts, target)
-    assert bounds[0] == 0 and bounds[-1] == len(counts)
-    assert (np.diff(bounds) > 0).all()
-    sums = [int(counts[lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    assert all(s >= target for s in sums[:-1])  # every closed segment is full
-    for i in range(len(bounds) - 1):
-        for j in range(i + 1, len(bounds)):
-            sub = segment_boundaries(counts[bounds[i] : bounds[j]], target)
-            assert (sub + bounds[i] == bounds[i : j + 1]).all()
-    # Degenerate targets: 1 node per segment -> one segment per graph;
-    # a huge target -> the trivial single segment.
-    assert (segment_boundaries(counts, 1) == np.arange(len(counts) + 1)).all()
-    assert (segment_boundaries(counts, 10**9) == [0, len(counts)]).all()
-
-
-@pytest.mark.parametrize("directed", [True, False])
-def test_slice_graphs_matches_an_independent_pack(directed):
-    """A graph-range slice of the packed batch equals packing just those
-    graphs.  ``directed=False`` packs first and symmetrises after — reverse
-    edges all land at the tail, so the slice's edge ids are NOT contiguous
-    and the fancy-index path (order-preserving) is what's under test."""
-    samples = build_synthetic_samples(9, seed=4)
-    graphs = [s.graph for s in samples]
-    packed = HeteroGraph.pack(graphs)
-    if not directed:
-        packed = packed.undirected()
-    full = GraphBatch.from_graph(packed)
-    assert full.slice_graphs(0, full.num_graphs) is full
-    for start, stop in ((0, 3), (3, 7), (7, 9), (2, 9)):
-        piece = full.slice_graphs(start, stop)
-        sub_packed = HeteroGraph.pack(graphs[start:stop])
-        if not directed:
-            sub_packed = sub_packed.undirected()
-        expected = GraphBatch.from_graph(sub_packed)
-        assert piece.num_nodes == expected.num_nodes
-        assert piece.num_graphs == expected.num_graphs
-        assert piece.node_features.data.tobytes() == expected.node_features.data.tobytes()
-        assert piece.edge_features.data.tobytes() == expected.edge_features.data.tobytes()
-        assert (piece.edge_index == expected.edge_index).all()
-        assert (piece.edge_types == expected.edge_types).all()
-        assert (piece.batch == expected.batch).all()
-        assert piece.metadata.data.tobytes() == expected.metadata.data.tobytes()
-
-
-def test_small_batches_keep_the_single_segment_forward(monkeypatch):
-    """Below the segment size the decomposition is trivial — one segment,
-    the batch itself — so existing small packs keep the historical
-    whole-pack forward with zero slicing overhead."""
-    monkeypatch.delenv(SEGMENT_ENV_VAR, raising=False)
-    samples = build_synthetic_samples(6, seed=8)
-    batch = GraphBatch.from_graph(HeteroGraph.pack([s.graph for s in samples]))
-    assert batch.segment_batches() == (batch,)
-    assert list(batch.graph_segments()) == [0, batch.num_graphs]
-
-    monkeypatch.setenv(SEGMENT_ENV_VAR, "20")
-    small = GraphBatch.from_graph(HeteroGraph.pack([s.graph for s in samples]))
-    segments = small.segment_batches()
-    assert len(segments) >= 2
-    assert sum(segment.num_graphs for segment in segments) == small.num_graphs
-    assert sum(segment.num_nodes for segment in segments) == small.num_nodes
-
-
-# ------------------------------------------------------ graph-axis pooled path
-
-
-def test_graph_axis_pooled_ensemble_matches_serial_bitwise(
-    ensemble_model, monkeypatch
-):
-    """The tentpole's second axis: an *ensemble* sharded over the graph axis
-    — every worker forwards all members over a union of whole forward
-    segments — is bitwise-identical to serial, and the packed batch rides
-    through shared memory (no per-task array pickling)."""
-    monkeypatch.setenv(SEGMENT_ENV_VAR, "24")
-    model, samples = ensemble_model
-    queries = samples[28:]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries)
-    _assert_spread(reference)
-    with ForwardPool(model, num_workers=2, shard_axis="graphs") as pool:
-        pooled = pool.predict_batch(queries)
-        again = pool.predict_batch(queries)
-    assert pooled.tobytes() == reference.tobytes()
-    assert again.tobytes() == reference.tobytes()
-    assert pool.stats.shard_axis == "graphs"
-    assert pool.stats.shards == 2 * 2  # two batches, two graph shards each
-    assert pool.stats.shared_batch_bytes > 0
-
-
-def test_service_recovers_sigkilled_forward_worker_bitwise(
-    ensemble_model, monkeypatch
-):
-    """Acceptance: a real SIGKILL of a graph-axis forward worker is a blip —
-    the supervisor restarts the pool, the batch retries pooled, and the
-    recovered predictions are bitwise-identical to serial."""
-    monkeypatch.setenv(SEGMENT_ENV_VAR, "24")
+def test_service_recovers_sigkilled_forward_worker_bitwise(ensemble_model):
+    """Acceptance: a real SIGKILL of a member-sharding forward worker is a
+    blip — the supervisor restarts the pool, the batch retries pooled, and
+    the recovered predictions are bitwise-identical to serial."""
     model, samples = ensemble_model
     queries = samples[28:]
     requests = [EstimateRequest.from_sample(s) for s in queries]
     with use_backend("numpy"):
-        reference = list(model.predict_batch(queries, batch_size=len(queries)))
+        reference = model.predict_batch(queries, batch_size=len(queries))
 
-    runtime = RuntimeConfig(
-        forward_workers=2,
-        forward_min_members=2,
-        forward_min_graphs=2,
-        forward_shard_axis="graphs",
-        pool_restart_backoff_s=0.01,
-    )
+    def powers(responses) -> bytes:
+        return np.array([r.power for r in responses]).tobytes()
+
+    runtime = RuntimeConfig(forward_workers=2, pool_restart_backoff_s=0.01)
     with PowerEstimationService(
         model, batch_size=len(queries), runtime=runtime
     ) as service:
         first = service.estimate_many(requests)
-        assert [r.power for r in first] == reference
+        assert powers(first) == reference.tobytes()
+        assert service.metrics.snapshot()["pooled_predicted"] == len(queries)
 
         supervisor = service._forward_supervisor
         assert supervisor is not None
@@ -374,13 +263,13 @@ def test_service_recovers_sigkilled_forward_worker_bitwise(
 
         service.cache.clear()
         second = service.estimate_many(requests)
-        assert [r.power for r in second] == reference
+        assert powers(second) == reference.tobytes()
 
         snapshot = service.metrics.snapshot()
         assert snapshot["pool_restarts"] == 1
         assert snapshot["pooled_errors"] == 1  # the kill, visible
         stats = service.runtime_stats()["forward_pool"]
-        assert stats["shard_axis"] == "graphs"
+        assert stats["member_forwards"] == 2 * len(model.ensemble.members)
         assert stats["shared_batch_bytes"] > 0
         assert stats["supervisor"]["restarts"] == 1
         assert stats["supervisor"]["state"] == "ok"

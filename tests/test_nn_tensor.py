@@ -1,5 +1,8 @@
 """Tests for the numpy autograd engine, including numerical gradient checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,25 @@ def test_gradient_accumulation_over_shared_nodes():
     loss = (y + y).sum()  # y used twice
     loss.backward()
     assert np.allclose(x.grad, [6.0])
+
+
+def test_backward_frees_the_graph_without_the_cyclic_collector():
+    """Once the loss is dropped, reference counting alone frees every
+    intermediate activation: ``backward`` must leave no reference cycle
+    holding the graph (training memory would otherwise wait on the cyclic
+    collector's schedule)."""
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((6, 4)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        hidden = (x @ w).relu()
+        activation = weakref.ref(hidden.data)
+        loss = hidden.sum()
+        loss.backward()
+        del hidden, loss
+        assert activation() is None
+    finally:
+        gc.enable()
+    assert x.grad is not None and w.grad is not None

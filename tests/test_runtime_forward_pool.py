@@ -10,6 +10,7 @@ merge rebuilds the member stack in order.
 from __future__ import annotations
 
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -111,9 +112,10 @@ def test_forward_pool_single_chunk_and_empty(fitted_ensemble):
 def test_forward_tasks_carry_no_weights_and_no_graphs(fitted_ensemble):
     """The payload-free task contract, enforced structurally.
 
-    A task is a shared-segment spec plus slice bounds: neither the ensemble's
+    A task is a shared-segment spec plus member bounds: neither the ensemble's
     weights nor the packed batch's arrays ride in the pickle — both live in
-    shared memory, attached once per worker.
+    shared memory, the weights attached once per worker and the batch once
+    per task.
     """
     from repro.runtime.shm import SharedArrayBundle
 
@@ -131,8 +133,6 @@ def test_forward_tasks_carry_no_weights_and_no_graphs(fitted_ensemble):
             bundle=bundle.spec,
             member_start=0,
             member_stop=3,
-            graph_start=0,
-            graph_stop=1,
         )
         payload = pickle.dumps(task)
         # Far smaller than either the batch arrays or the weights: the pickle
@@ -146,11 +146,38 @@ def test_forward_tasks_carry_no_weights_and_no_graphs(fitted_ensemble):
         bundle.unlink()
 
 
-def test_forward_pool_accepts_single_model_and_requires_fitted(monkeypatch):
-    # Tiny forward segments force a multi-segment pack, so the graph axis
-    # genuinely shards (several tasks) instead of degenerating to one task.
-    monkeypatch.setenv("REPRO_FORWARD_SEGMENT_NODES", "24")
-    samples = build_synthetic_samples(30, seed=2)
+def test_service_pools_ensemble_batches_from_min_graphs(fitted_ensemble):
+    """The service's pooling gate: an ensemble batch of ``forward_min_graphs``
+    designs rides the pool, one design fewer stays in-process, and a
+    single-model service never starts the pool.  Every case answers the
+    serial bytes."""
+    from repro.runtime import RuntimeConfig
+    from repro.serve import EstimateRequest, PowerEstimationService
+
+    model, samples = fitted_ensemble
+    runtime = RuntimeConfig(forward_workers=2)
+    threshold = runtime.forward_min_graphs
+    queries = samples[28 : 28 + threshold]
+    requests = [EstimateRequest.from_sample(s) for s in queries]
+    with use_backend("numpy"):
+        reference = model.predict_batch(queries, batch_size=threshold)
+        reference_below = model.predict_batch(queries[:-1], batch_size=threshold)
+
+    def powers(responses) -> bytes:
+        return np.array([r.power for r in responses]).tobytes()
+
+    with PowerEstimationService(
+        model, batch_size=threshold, runtime=runtime
+    ) as service:
+        below = service.estimate_many(requests[:-1])
+        assert powers(below) == reference_below.tobytes()
+        assert service.metrics.snapshot()["pooled_predicted"] == 0
+        assert service._forward_supervisor is None  # the pool never started
+        service.cache.clear()
+        at = service.estimate_many(requests)
+        assert powers(at) == reference.tobytes()
+        assert service.metrics.snapshot()["pooled_predicted"] == threshold
+
     single = PowerGear(
         PowerGearConfig(
             target="dynamic",
@@ -159,23 +186,54 @@ def test_forward_pool_accepts_single_model_and_requires_fitted(monkeypatch):
             ensemble=None,
         )
     ).fit(samples[:24])
-    queries = samples[24:]
     with use_backend("numpy"):
-        reference = single.predict_batch(queries)
-    # A single-model flow shards the graph axis (it has no member axis).
-    with ForwardPool(single, num_workers=2, shard_axis="graphs") as pool:
-        assert pool.num_members == 1
-        pooled = pool.predict_batch(queries)
-    assert pooled.tobytes() == reference.tobytes()
-    assert pool.stats.shard_axis == "graphs"
-    assert pool.stats.shards == 2
+        single_reference = single.predict_batch(queries, batch_size=threshold)
+    with PowerEstimationService(
+        single, batch_size=threshold, runtime=runtime
+    ) as service:
+        responses = service.estimate_many(requests)
+        assert powers(responses) == single_reference.tobytes()
+        assert service.metrics.snapshot()["pooled_predicted"] == 0
+        assert service._forward_supervisor is None
+
+    # The pool itself refuses what the gate keeps away from it.
     with pytest.raises(ValueError):
-        ForwardPool(single, num_workers=1)
+        ForwardPool(single, num_workers=2)
     with pytest.raises(ValueError):
-        ForwardPool(single, num_workers=2, shard_axis="diagonal")
-    unfitted = PowerGear(PowerGearConfig(target="dynamic", ensemble=None))
+        ForwardPool(model, num_workers=1)
+    unfitted = PowerGear(PowerGearConfig(target="dynamic"))
     with pytest.raises(ValueError):
         ForwardPool(unfitted, num_workers=2)
+
+
+def test_forward_pool_leaves_no_buffer_error_on_stderr(
+    fitted_ensemble, capfd, monkeypatch
+):
+    """Regression: every task's shared-memory mapping closes cleanly.
+
+    Each forward task attaches its chunk's bundle and must drop every view
+    of it before closing the mapping; a view kept alive (e.g. by a reference
+    cycle through a memoised batch) leaks the mapping and makes
+    ``SharedMemory.__del__`` print ``BufferError: cannot close exported
+    pointers exist`` from the worker.  Fork workers share the test's stderr,
+    so ``capfd`` sees those lines — provided they inherit the default
+    unraisable-exception hook rather than pytest's collecting one, which
+    would swallow them in the children.
+    """
+    monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
+    model, samples = fitted_ensemble
+    queries = samples[28:]
+    with use_backend("numpy"):
+        reference = model.predict_batch(queries, batch_size=5)
+    pool = ForwardPool(model, num_workers=2, start_method="fork")
+    try:
+        for _ in range(3):  # three batches of three chunks each
+            pooled = pool.predict_batch(queries, batch_size=5)
+            assert pooled.tobytes() == reference.tobytes()
+    finally:
+        pool.close()
+    assert pool.stats.shards == 3 * 3 * 2
+    assert "BufferError" not in capfd.readouterr().err
 
 
 def test_forward_pool_close_is_idempotent_and_final(fitted_ensemble):
@@ -203,7 +261,7 @@ def test_service_degrades_serially_on_non_crash_pool_errors(fitted_ensemble):
     with PowerEstimationService(model, batch_size=4) as serial_service:
         reference = [r.power for r in serial_service.estimate_many(requests)]
 
-    runtime = RuntimeConfig(forward_workers=2, forward_min_members=2)
+    runtime = RuntimeConfig(forward_workers=2, forward_min_graphs=2)
     for error in (RuntimeError("pool closed"), ValueError("Pool not running")):
         with PowerEstimationService(model, batch_size=4, runtime=runtime) as service:
             attempts = {"count": 0}
@@ -249,7 +307,7 @@ def test_service_retires_pool_after_persistent_non_crash_failures(fitted_ensembl
     model, samples = fitted_ensemble
     requests = [EstimateRequest.from_sample(s) for s in samples[28:32]]
     runtime = RuntimeConfig(
-        forward_workers=2, forward_min_members=2, pool_max_restarts=1
+        forward_workers=2, forward_min_graphs=2, pool_max_restarts=1
     )
     attempts = {"count": 0}
 
@@ -285,7 +343,7 @@ def test_request_errors_do_not_strike_the_pool(fitted_ensemble):
     model, samples = fitted_ensemble
     requests = [EstimateRequest.from_sample(s) for s in samples[28:32]]
     runtime = RuntimeConfig(
-        forward_workers=2, forward_min_members=2, pool_max_restarts=0
+        forward_workers=2, forward_min_graphs=2, pool_max_restarts=0
     )
 
     def data_error(self, *args, **kwargs):
@@ -321,7 +379,7 @@ def test_service_restarts_crashed_forward_pool_within_budget(fitted_ensemble):
         reference = model.predict_batch(queries, batch_size=4)
 
     runtime = RuntimeConfig(
-        forward_workers=2, forward_min_members=2, pool_restart_backoff_s=0.01
+        forward_workers=2, forward_min_graphs=2, pool_restart_backoff_s=0.01
     )
     original = ForwardPool.predict_batch
     crashes = {"left": 1}
@@ -360,7 +418,7 @@ def test_service_retires_forward_pool_after_restart_budget(fitted_ensemble):
 
     runtime = RuntimeConfig(
         forward_workers=2,
-        forward_min_members=2,
+        forward_min_graphs=2,
         pool_max_restarts=1,
         pool_restart_backoff_s=0.0,
     )

@@ -11,8 +11,8 @@ Two measurements on one synthetic ensemble workload:
 * **pooled forward** — serial in-process prediction vs the
   :class:`~repro.runtime.pool.ForwardPool` sharding the ensemble's members
   across one worker process per usable core, clamped to 2..4, on
-  shared-memory weights.  BLAS threads are not pinned here, so where BLAS
-  runs a thread per core the workers still compete for cores.  Bitwise
+  shared-memory weights.  Each worker pins its BLAS to one thread, so the
+  workers do not compete for cores with each other's GEMM threads.  Bitwise
   equality is asserted unconditionally; the >1x speedup contract is
   enforced only on non-CI machines with >= 4 usable cores (the same gate as
   the featurisation-pool benchmark).

@@ -1,10 +1,10 @@
 """Runtime throughput: the three serving-runtime levers, measured.
 
 * **pooled vs serial featurisation** — the worker pool shards per-kernel
-  featurisation (the dominant serving cost) across processes; cold start to
-  cold start, 4 workers should cut a design-space sweep by >= 2x on a machine
-  with >= 4 usable cores.  Pooled samples must be bitwise-identical to serial
-  ones unconditionally.
+  featurisation (the dominant serving cost) across one worker process per
+  usable core, clamped to 2..4; cold start to cold start, 4 workers should
+  cut a design-space sweep by >= 2x on a machine with >= 4 usable cores.
+  Pooled samples must be bitwise-identical to serial ones unconditionally.
 * **coalesced vs one-at-a-time latency** — concurrent single-design
   ``estimate`` calls coalesce into packed forward passes instead of running
   one tiny forward each.
@@ -13,8 +13,8 @@
   predictions identical to the first run's, zero featurisation.
 
 Wall-clock assertions follow the repo convention: skipped on shared CI
-runners (``CI=true``) and, for the pool, on machines with fewer usable cores
-than workers.  The correctness assertions always run.
+runners (``CI=true``) and, for the pool, on machines with fewer than 4 usable
+cores.  The correctness assertions always run.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from repro.serve import EstimateRequest, PowerEstimationService
 from repro.serve.cache import sample_fingerprint
 
 TARGET_KERNEL = "atax"
-POOL_WORKERS = 4
+#: Pool size cap, and the core count at which the >=2x assert is enforced.
+MAX_POOL_WORKERS = 4
+POOL_WORKERS = max(2, min(MAX_POOL_WORKERS, available_cpus()))
 COALESCE_BATCH = 8
 
 
@@ -67,9 +69,7 @@ def test_runtime_throughput(benchmark, bench_scale, tmp_path):
         serial_seconds = time.perf_counter() - serial_start
 
         pooled_start = time.perf_counter()
-        with WorkerPool(
-            config=config, num_workers=POOL_WORKERS, min_designs_per_worker=1
-        ) as pool:
+        with WorkerPool(config=config, num_workers=POOL_WORKERS) as pool:
             pooled_samples = pool.featurise(TARGET_KERNEL, space)
         pooled_seconds = time.perf_counter() - pooled_start
 
@@ -171,11 +171,11 @@ def test_runtime_throughput(benchmark, bench_scale, tmp_path):
     # The >=2x wall-clock assertion needs enough usable cores to actually run
     # the workers on, and shared CI runners are too noisy to time; record in
     # the tracked log whether this run enforced it or was gated.
-    speedup_enforced = wall_clock_enforced(min_cores=POOL_WORKERS)
+    speedup_enforced = wall_clock_enforced(min_cores=MAX_POOL_WORKERS)
     print_table(
         f"Runtime featurisation throughput on the {TARGET_KERNEL} design space "
         f"({available_cpus()} usable cores; >=2x assert "
-        f"{gate_reason(min_cores=POOL_WORKERS)})",
+        f"{gate_reason(min_cores=MAX_POOL_WORKERS)})",
         ["Path", "Designs", "Seconds", "Designs/s", "Speedup"],
         [
             [

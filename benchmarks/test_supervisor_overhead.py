@@ -3,8 +3,7 @@
 Two questions an operator asks before turning the supervisor on:
 
 * **what does supervision cost per batch?** — the supervisor adds admission
-  accounting, an autoscale decision and a generation lookup around every
-  pool call.  Measured by driving the same no-op pool raw vs supervised:
+  accounting and a generation lookup around every pool call.  Measured by driving the same no-op pool raw vs supervised:
   the layer must stay within noise of the raw call (its real work — numpy
   batches across processes — is milliseconds, the wrapper microseconds).
 * **how long is a crash blip?** — wall-clock from a SIGKILLed worker
@@ -95,7 +94,7 @@ def test_supervisor_overhead_and_restart_latency(benchmark, tmp_path):
             raw_pool.featurise(index)
         raw_seconds = time.perf_counter() - raw_start
 
-        supervisor = SupervisedPool(NoopPool, min_workers=2, max_workers=2)
+        supervisor = SupervisedPool(NoopPool, workers=2)
         supervised_start = time.perf_counter()
         for index in range(DISPATCH_CALLS):
             supervisor.run(lambda pool, _i=index: pool.featurise(_i), cost=1)
@@ -107,8 +106,7 @@ def test_supervisor_overhead_and_restart_latency(benchmark, tmp_path):
         tasks = [(value, sentinel) for value in range(8)]
         restart_supervisor = SupervisedPool(
             lambda workers: EchoPool(workers),
-            min_workers=2,
-            max_workers=2,
+            workers=2,
             max_restarts=2,
             backoff_base_s=0.05,
         )

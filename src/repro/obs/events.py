@@ -3,7 +3,7 @@
 The supervisor's health snapshot answers "what state is the pool in *now*";
 this ring answers "what *sequence of events* got it there" — the difference
 between seeing ``restarts: 3`` and seeing ``crash → restart(backoff 50ms) →
-crash → restart(backoff 100ms) → scale_up(2→4)`` with timestamps.  Producers
+crash → restart(backoff 100ms) → retire`` with timestamps.  Producers
 (the supervisor, the service's degradation bookkeeping, the persistent
 cache's read-only downgrade) call :meth:`EventLog.record`; consumers read it
 merged into ``service.health()`` and at ``GET /v1/events``.
@@ -49,11 +49,12 @@ class EventLog:
         """Append one event; returns the stamped record.
 
         ``kind`` is the event vocabulary consumers filter on: supervised
-        pools emit ``crash``, ``restart``, ``budget_refund``, ``retire``,
-        ``scale_up``, ``scale_down``, ``degrade``, ``heartbeat``,
-        ``cache_read_only`` ...; the cluster layer emits the replica
-        lifecycle — ``replica_spawn``, ``replica_ready``, ``replica_exit``,
-        ``replica_eject``, ``replica_respawn``, ``replica_respawn_failed``,
+        pools emit ``crash``, ``restart`` and ``retire``; the service adds
+        ``degrade``, ``cache_read_only``, ``artifact_evicted`` and the
+        ``deployment_*`` transitions, the job manager the ``job_*`` ones;
+        the cluster layer emits the replica lifecycle — ``replica_spawn``,
+        ``replica_ready``, ``replica_exit``, ``replica_eject``,
+        ``replica_respawn``, ``replica_respawn_failed``,
         ``fingerprint_mismatch``.  Extra ``fields`` must be JSON-safe (the
         producer's contract — this ring is served verbatim).
         """

@@ -327,6 +327,12 @@ class _Family:
                 self._children[values] = child
             return child
 
+    def remove(self, *values) -> None:
+        """Drop the child of one label-value tuple, so it is no longer
+        exported (a no-op if it was never created)."""
+        with self._lock:
+            self._children.pop(tuple(str(value) for value in values), None)
+
     def _items(self) -> list[tuple[tuple[str, ...], object]]:
         with self._lock:
             return list(self._children.items())

@@ -20,9 +20,8 @@ runtime, each independently switchable through :class:`RuntimeConfig`:
 
 :mod:`repro.runtime.supervisor` wraps both pools in a supervised lifecycle
 (:class:`SupervisedPool`): bounded restart-on-crash with exponential backoff
-(worker deaths surface as :class:`WorkerCrashError`), queue-depth-driven
-autoscaling with hysteresis, and per-pool health snapshots the service
-threads through ``runtime_stats()`` and the HTTP ``/metrics`` / ``/healthz``
+(worker deaths surface as :class:`WorkerCrashError`) at a fixed worker
+count, and per-pool health snapshots the service threads through ``runtime_stats()`` and the HTTP ``/metrics`` / ``/healthz``
 endpoints.
 
 Two front-end modules layer on top (PR 3):

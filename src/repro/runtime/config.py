@@ -38,27 +38,8 @@ class RuntimeConfig:
     backend: str | None = None
 
     #: Number of featurisation worker processes; 0 or 1 keeps featurisation
-    #: serial in the service process.  With autoscaling enabled (see
-    #: ``num_workers_max``) this is the pool's *starting* size.
+    #: serial in the service process.
     num_workers: int = 0
-    #: Autoscaling floor of the featurisation pool (0 defers to
-    #: ``num_workers``, or 2 when only ``num_workers_max`` is set).
-    num_workers_min: int = 0
-    #: Autoscaling ceiling of the featurisation pool; 0 or 1 disables
-    #: autoscaling (the pool stays fixed at ``num_workers``).  Setting it > 1
-    #: enables the pool even when ``num_workers`` is unset: the supervisor
-    #: then grows from the floor under queued ``estimate_many`` bursts and
-    #: shrinks back when traffic goes idle.
-    num_workers_max: int = 0
-    #: Scale-up watermark: grow the pool when the designs in flight exceed
-    #: this many per current worker.  Must exceed the scale-down watermark —
-    #: the gap is the hysteresis band that stops burst/idle flapping.
-    autoscale_up_queue_per_worker: float = 4.0
-    #: Scale-down watermark: a batch admitted with at most this many designs
-    #: in flight per worker counts toward the idle streak.
-    autoscale_down_queue_per_worker: float = 1.0
-    #: Consecutive low-pressure batches before the pool shrinks one worker.
-    autoscale_down_patience: int = 4
 
     #: How many times a supervised pool (featurisation or forward) may be
     #: restarted after a worker crash before it retires to the serial path
@@ -68,12 +49,6 @@ class RuntimeConfig:
     #: Base of the exponential backoff between pool restarts, in seconds
     #: (restart ``k`` waits ``base * 2**(k-1)``, capped at 2 s).
     pool_restart_backoff_s: float = 0.05
-    #: Restart-budget decay window, in seconds: every full window of
-    #: fault-free operation refunds one consumed restart, so a long-lived
-    #: pool is only retired by faults clustered in time, never by
-    #: ``pool_max_restarts`` transient faults spread over weeks.  0 (the
-    #: default) disables decay — the budget is then for the process lifetime.
-    pool_restart_budget_decay_s: float = 0.0
     #: Multiprocessing start method (``"fork"`` / ``"spawn"`` /
     #: ``"forkserver"``); ``None`` picks ``fork`` where available (cheap, and
     #: the workers rebuild their generator anyway) and ``spawn`` elsewhere.
@@ -161,43 +136,10 @@ class RuntimeConfig:
             resolve_backend_name(self.backend)  # raises on unknown names
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0")
-        if self.num_workers_min < 0 or self.num_workers_max < 0:
-            raise ValueError("num_workers_min/num_workers_max must be >= 0")
-        if self.num_workers_max > 1:
-            low, high, start = self.featurisation_worker_bounds()
-            if low > high:
-                # Blame the field the floor actually came from: an unset
-                # num_workers_min defers to num_workers.
-                source = (
-                    "num_workers_min" if self.num_workers_min > 1 else "num_workers"
-                )
-                raise ValueError(f"{source}={low} exceeds num_workers_max={high}")
-            assert low <= start <= high
-        elif self.num_workers_min > 1:
-            # A floor without a pool to apply it to is a misconfiguration,
-            # not a silent no-op: the operator asked for >= N workers.
-            if self.num_workers <= 1:
-                raise ValueError(
-                    "num_workers_min requires num_workers or num_workers_max "
-                    "to enable the pool"
-                )
-            if self.num_workers < self.num_workers_min:
-                raise ValueError("num_workers is below num_workers_min")
-        if self.autoscale_up_queue_per_worker <= self.autoscale_down_queue_per_worker:
-            raise ValueError(
-                "autoscale_up_queue_per_worker must exceed "
-                "autoscale_down_queue_per_worker (the hysteresis band)"
-            )
-        if self.autoscale_down_queue_per_worker <= 0:
-            raise ValueError("autoscale_down_queue_per_worker must be > 0")
-        if self.autoscale_down_patience < 1:
-            raise ValueError("autoscale_down_patience must be >= 1")
         if self.pool_max_restarts < 0:
             raise ValueError("pool_max_restarts must be >= 0")
         if self.pool_restart_backoff_s < 0:
             raise ValueError("pool_restart_backoff_s must be >= 0")
-        if self.pool_restart_budget_decay_s < 0:
-            raise ValueError("pool_restart_budget_decay_s must be >= 0")
         if self.forward_workers < 0:
             raise ValueError("forward_workers must be >= 0")
         if self.forward_min_graphs < 2:
@@ -233,28 +175,7 @@ class RuntimeConfig:
 
     @property
     def parallel_featurisation(self) -> bool:
-        return self.num_workers > 1 or self.num_workers_max > 1
-
-    def featurisation_worker_bounds(self) -> tuple[int, int, int]:
-        """Resolved ``(min, max, start)`` worker counts of the supervised pool.
-
-        Without ``num_workers_max`` the pool is fixed at ``num_workers``
-        (min == max == start: autoscaling off, supervision still on).  An
-        unset ``num_workers_min`` defers to ``num_workers`` — the operator's
-        start size is the floor, autoscaling only grows from it — and to the
-        2-worker minimum when only ``num_workers_max`` is given.
-        """
-        if self.num_workers_max > 1:
-            if self.num_workers_min > 1:
-                low = self.num_workers_min
-            elif self.num_workers > 1:
-                low = self.num_workers
-            else:
-                low = 2
-            high = self.num_workers_max
-            start = self.num_workers if self.num_workers > 1 else low
-            return low, high, min(max(start, low), max(high, low))
-        return self.num_workers, self.num_workers, self.num_workers
+        return self.num_workers > 1
 
     @property
     def parallel_forward(self) -> bool:

@@ -1073,8 +1073,8 @@ class GatewayHTTPServer(AsyncJSONHTTPServer):
         the response *degraded*, not dead: still ``200`` — the service
         answers every request with identical results, only slower — with the
         per-pool health snapshots attached so an operator can see the fault,
-        the restart budget and the current/target pool sizes.  Only a closed
-        gateway/service is ``503``.
+        the restart budget and the pool sizes.  Only a closed gateway/service
+        is ``503``.
         """
         if self.gateway.closed:
             return 503, {"status": "closed"}

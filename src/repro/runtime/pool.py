@@ -44,6 +44,7 @@ restart the pool within a bounded budget.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
 import threading
@@ -51,6 +52,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -136,11 +138,11 @@ class PoolStats:
 class HeartbeatBook:
     """Thread-safe ``pid -> last-seen wall clock`` map of one pool's workers.
 
-    Heartbeats are *passive* by default — every traced shard result carries
-    its worker's pid, and the pool stamps the book when it unpacks them — with
-    an active :meth:`WorkerPool.probe` for operators who want liveness proof
-    on an idle pool.  The book lives per pool instance (not per supervisor),
-    so a restarted pool starts clean instead of advertising dead pids.
+    Heartbeats are passive: every traced shard result carries its worker's
+    pid, and the pool stamps the book when it unpacks them.  The book lives
+    per pool instance (not per supervisor), so a restarted pool starts clean;
+    the service drops every exported series whose pid is not in the current
+    generation's book, so ``/metrics`` never advertises dead workers.
     """
 
     __slots__ = ("_lock", "_seen")
@@ -160,17 +162,6 @@ class HeartbeatBook:
             return dict(self._seen)
 
 
-def _heartbeat_probe(_: int) -> int:
-    """No-op pool task whose only output is the executing worker's pid.
-
-    The tiny sleep makes concurrent probe tasks overlap, spreading them
-    across idle workers — a best-effort census, not a guarantee that every
-    worker answered.
-    """
-    time.sleep(0.002)
-    return os.getpid()
-
-
 @dataclass
 class WorkerPool:
     """Shards featurisation batches across worker processes."""
@@ -178,7 +169,6 @@ class WorkerPool:
     config: DatasetConfig
     num_workers: int = 2
     start_method: str | None = None
-    min_designs_per_worker: int = 2
     stats: PoolStats = field(default_factory=PoolStats)
     #: Optional :class:`repro.obs.trace.Tracer`; when set, shards run the
     #: meta-carrying task variant so worker spans (with pids) graft into the
@@ -188,18 +178,12 @@ class WorkerPool:
     def __post_init__(self) -> None:
         if self.num_workers < 2:
             raise ValueError("a worker pool needs at least 2 workers")
-        if self.min_designs_per_worker < 1:
-            raise ValueError("min_designs_per_worker must be >= 1")
         self._pool = None
         self._closed = False
         self._lock = threading.Lock()
         self.heartbeat_book = HeartbeatBook()
 
     # ------------------------------------------------------------------ public
-
-    def should_parallelise(self, num_designs: int) -> bool:
-        """Whether a batch is big enough to amortise the IPC of sharding."""
-        return num_designs >= self.num_workers * self.min_designs_per_worker
 
     def featurise(
         self, kernel: str, directives_list: list[DesignDirectives]
@@ -249,24 +233,7 @@ class WorkerPool:
         return merged
 
     def heartbeats(self) -> dict[int, float]:
-        """``pid -> last-seen wall clock`` of the workers (passive + probed)."""
-        return self.heartbeat_book.snapshot()
-
-    def probe(self) -> dict[int, float]:
-        """Actively ping the pool; stamps and returns the heartbeat book.
-
-        Best-effort census: probe tasks overlap via a short sleep so idle
-        workers each pick one up, but the executor does not guarantee every
-        worker answers.  Raises :class:`WorkerCrashError` on a broken pool.
-        """
-        pool = self._ensure_pool()
-        try:
-            pids = set(pool.map(_heartbeat_probe, range(self.num_workers * 2)))
-        except BrokenProcessPool as fault:
-            raise WorkerCrashError(
-                "a featurisation worker died during a heartbeat probe"
-            ) from fault
-        self.heartbeat_book.record(pids)
+        """``pid -> last-seen wall clock`` of the workers that ran shards."""
         return self.heartbeat_book.snapshot()
 
     def close(self) -> None:
@@ -336,6 +303,31 @@ class ForwardTask:
     member_stop: int
 
 
+def _openblas_function(name: str):
+    """``name`` of numpy's bundled OpenBLAS, or ``None`` if none is loaded.
+
+    ``name`` is ``set_num_threads`` or ``get_num_threads``; numpy 2 wheels
+    export them as ``scipy_openblas_<name>64_``, older wheels as
+    ``openblas_<name>64_``.  ``RTLD_NOLOAD`` only opens a library this
+    process already loaded, so a numpy linked against another BLAS is left
+    alone.
+    """
+    noload = getattr(os, "RTLD_NOLOAD", None)
+    if noload is None:
+        return None
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("lib*openblas*")):
+        try:
+            library = ctypes.CDLL(str(path), mode=noload)
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_"):
+            function = getattr(library, symbol, None)
+            if function is not None:
+                return function
+    return None
+
+
 def forward_worker_init(
     spec: ParameterBlockSpec,
     model_type: type,
@@ -345,14 +337,21 @@ def forward_worker_init(
 ) -> None:
     """Process-pool initializer: attach the segment, rebuild the members.
 
-    Each member model is constructed from its config (cheap — the freshly
-    initialised weights are immediately replaced) and its parameters rebound
-    to read-only views of the shared block, positionally: identical
-    construction code yields identical ``parameters()`` traversal order.
+    Pins BLAS to one thread first.  Each member model is then constructed
+    from its config (cheap — the freshly initialised weights are immediately
+    replaced) and its parameters rebound to read-only views of the shared
+    block, positionally: identical construction code yields identical
+    ``parameters()`` traversal order.
     """
     global _FORWARD_MODELS, _FORWARD_SHM
     from repro.backend import set_default_backend
 
+    # The pool runs one worker per core: left at its default, OpenBLAS would
+    # start a thread per core in every worker and oversubscribe the machine.
+    set_threads = _openblas_function("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
     set_default_backend(backend)
     shm, views = attach_parameter_block(spec)
     node_dim, edge_dim, meta_dim = dims
@@ -527,7 +526,7 @@ class ForwardPool:
         self.start_method = start_method
         self.backend = backend
         # An injected stats object survives pool rebuilds: the supervisor
-        # passes one so lifetime counters aggregate across restarts/resizes.
+        # passes one so lifetime counters aggregate across restarts.
         self.stats = stats if stats is not None else ForwardPoolStats()
         self.tracer = tracer
         self.heartbeat_book = HeartbeatBook()
@@ -539,19 +538,6 @@ class ForwardPool:
     @property
     def num_members(self) -> int:
         return len(self.model.ensemble.members)
-
-    def serves(self, model) -> bool:
-        """Whether this pool's shared weights are ``model``'s weights.
-
-        The pool is bound to exactly one fitted model — the shared
-        parameter segment snapshots its weights — so under a deployment
-        plan only design points resolved onto that model (the service's
-        ambient default) may ride the pooled forward; any other artifact
-        takes the serial path.  Identity, not fingerprint equality: a
-        reloaded model object with equal weights is still a different
-        binding and must not assume this pool's segment.
-        """
-        return model is self.model
 
     def _model_fingerprint(self) -> str | None:
         """The bound model's content fingerprint, for segment provenance."""
@@ -634,19 +620,7 @@ class ForwardPool:
         return type(self.model).clamp_predictions(outputs)
 
     def heartbeats(self) -> dict[int, float]:
-        """``pid -> last-seen wall clock`` of the workers (passive + probed)."""
-        return self.heartbeat_book.snapshot()
-
-    def probe(self) -> dict[int, float]:
-        """Actively ping the pool; stamps and returns the heartbeat book."""
-        pool = self._ensure_pool()
-        try:
-            pids = set(pool.map(_heartbeat_probe, range(self.num_workers * 2)))
-        except BrokenProcessPool as fault:
-            raise WorkerCrashError(
-                "a forward worker died during a heartbeat probe"
-            ) from fault
-        self.heartbeat_book.record(pids)
+        """``pid -> last-seen wall clock`` of the workers that ran shards."""
         return self.heartbeat_book.snapshot()
 
     def close(self) -> None:

@@ -2,42 +2,26 @@
 
 The pools in :mod:`repro.runtime.pool` are deliberately dumb about faults: a
 worker SIGKILLed by the OOM killer surfaces as a :class:`WorkerCrashError`
-and the pool object is permanently broken.  Before this layer existed the
-service answered that with a one-strike policy — retire the pool forever and
-run serial for the rest of the process lifetime.  :class:`SupervisedPool`
-replaces that with a supervised lifecycle:
+and the pool object is permanently broken.  :class:`SupervisedPool` gives
+each pool a supervised lifecycle at a fixed worker count:
 
 * **restart-on-crash** — a crashed pool is torn down and rebuilt through its
-  factory, with exponential backoff between restarts and a hard budget
-  (``max_restarts``); the batch that observed the crash retries on the fresh
-  pool, so a transient fault costs one restart, not the request.  When the
-  budget is exhausted the supervisor *retires* (degrade-to-serial, exactly
-  the old policy — but only after the budget, never on the first strike).
-* **restart-budget decay** — with ``restart_budget_decay_s > 0``, every full
-  decay window of fault-free operation refunds one consumed restart, so a
-  long-lived pool is only ever retired by faults *clustered in time*, never
-  by the same number of transient faults spread over weeks.  Refunds are
-  claimed lazily on batch success (no timer thread) and are visible in
-  :meth:`health` as ``budget_refunds``.
-* **queue-depth autoscaling** — every batch reports its design count on
-  admission; when the designs in flight exceed
-  ``scale_up_queue_per_worker × size`` the pool grows (doubling, capped at
-  ``max_workers``), and after ``scale_down_patience`` consecutive
-  low-pressure batches it shrinks one worker toward ``min_workers``.  The
-  up-threshold sits strictly above the down-threshold, so bursty traffic
-  cannot make the size oscillate batch to batch (hysteresis).
+  factory, with capped exponential backoff between restarts and a hard
+  budget (``max_restarts``); the batch that observed the crash retries on
+  the fresh pool, so a transient fault costs one restart, not the request.
+  When the budget is exhausted the supervisor *retires* (degrade-to-serial,
+  but only after the budget, never on the first strike).
 * **health snapshots** — :meth:`health` reports state / size / queue depth /
-  restart counters / last fault; the service threads it through
-  ``runtime_stats()`` and the HTTP ``/metrics`` + ``/healthz`` endpoints
-  (a pool in backoff turns health *degraded*, never dead).
+  restart counters / last fault / worker heartbeats; the service threads it
+  through ``runtime_stats()`` and the HTTP ``/metrics`` + ``/healthz``
+  endpoints (a pool in backoff turns health *degraded*, never dead).
 
 Determinism contract: the supervisor never touches a batch's decomposition.
-A batch runs wholly on the one pool generation it acquired — resizes and
-restarts start a *new* generation for subsequent batches while in-flight
-batches finish (and drain-close) the old one — every retry re-runs the whole
-batch on one pool, and both pools' merges are bitwise-identical to serial at
-*any* worker count.  So supervised results equal serial results under every
-crash/resize interleaving.
+A batch runs wholly on the one pool generation it acquired — a restart
+starts a *new* generation for subsequent batches while in-flight batches
+finish (and drain-close) the old one — every retry re-runs the whole batch
+on one pool, and both pools' merges are bitwise-identical to serial.  So
+supervised results equal serial results under every crash interleaving.
 
 The supervisor is generic over a ``factory(num_workers) -> pool`` callable;
 the only protocol it needs from the pool object is ``close()``.  Batches are
@@ -72,7 +56,7 @@ class PoolClosedError(RuntimeError):
 
 
 class SupervisedPool:
-    """Crash-supervised, queue-depth-autoscaled lifecycle around one pool.
+    """Crash-supervised lifecycle around one fixed-size pool.
 
     Thread-safe: concurrent batches share one pool generation; a crash is
     recovered exactly once per generation (concurrent observers of the same
@@ -85,100 +69,58 @@ class SupervisedPool:
         self,
         factory: Callable[[int], object],
         *,
-        min_workers: int,
-        max_workers: int,
-        start_workers: int | None = None,
+        workers: int,
         max_restarts: int = 3,
-        restart_budget_decay_s: float = 0.0,
         backoff_base_s: float = 0.05,
         backoff_max_s: float = 2.0,
-        scale_up_queue_per_worker: float = 4.0,
-        scale_down_queue_per_worker: float = 1.0,
-        scale_down_patience: int = 4,
         min_designs_per_worker: int = 1,
         name: str = "pool",
         on_fault: Callable[[BaseException], None] | None = None,
         on_restart: Callable[[], None] | None = None,
         observer: object | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if min_workers < 2:
+        if workers < 2:
             raise ValueError("a supervised pool needs at least 2 workers")
-        if max_workers < min_workers:
-            raise ValueError("max_workers must be >= min_workers")
         if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if restart_budget_decay_s < 0:
-            raise ValueError("restart_budget_decay_s must be >= 0")
         if backoff_base_s < 0 or backoff_max_s < 0:
             raise ValueError("backoff times must be >= 0")
-        if scale_up_queue_per_worker <= scale_down_queue_per_worker:
-            raise ValueError(
-                "scale_up_queue_per_worker must exceed scale_down_queue_per_worker "
-                "(the gap is the hysteresis band)"
-            )
-        if scale_down_queue_per_worker <= 0:
-            raise ValueError("scale_down_queue_per_worker must be > 0")
-        if scale_down_patience < 1:
-            raise ValueError("scale_down_patience must be >= 1")
         if min_designs_per_worker < 1:
             raise ValueError("min_designs_per_worker must be >= 1")
-        start = min_workers if start_workers is None else start_workers
         self.factory = factory
-        self.min_workers = min_workers
-        self.max_workers = max_workers
+        self.workers = workers
         self.max_restarts = max_restarts
-        self.restart_budget_decay_s = restart_budget_decay_s
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
-        self.scale_up_queue_per_worker = scale_up_queue_per_worker
-        self.scale_down_queue_per_worker = scale_down_queue_per_worker
-        self.scale_down_patience = scale_down_patience
         self.min_designs_per_worker = min_designs_per_worker
         self.name = name
         self._on_fault = on_fault
         self._on_restart = on_restart
         # Duck-typed observability sink (repro.obs.Observability): anything
         # with pool_event(kind, pool=..., **fields).  Every lifecycle
-        # transition reports through it — crash, restart, retire, scale_up,
-        # scale_down — feeding the event timeline, the pool-event counters
-        # and the structured log in one call.  Always best-effort: a broken
-        # observer must never break recovery.
+        # transition reports through it — crash, restart, retire — feeding
+        # the event timeline, the pool-event counters and the structured log
+        # in one call.  Always best-effort: a broken observer must never
+        # break recovery.
         self._observer = observer
         self._sleep = sleep
-        self._clock = clock
         # _state_lock guards every counter below and is never held across a
-        # pool build, a pool close or a backoff sleep; _restart_lock
-        # serialises recoveries (and is the only lock held while sleeping).
+        # pool close or a backoff sleep; _restart_lock serialises recoveries
+        # (and is the only lock held while sleeping).
         self._state_lock = threading.Lock()
         self._restart_lock = threading.Lock()
         self._state = "ok"  # ok | backoff | retired | closed
-        self._size = min(max(start, min_workers), max_workers)
-        self._target_size = self._size
         self._generation = 0
         self._pools: dict[int, object] = {}
         self._in_flight: dict[int, int] = {}
         self._queue_depth = 0
-        self._idle_streak = 0
         self._restarts = 0
-        self._budget_refunds = 0
-        # Start of the current fault-free observation window; reset by every
-        # consumed restart and advanced by every refund.
-        self._budget_anchor = clock()
-        self._scale_ups = 0
-        self._scale_downs = 0
         self._batches = 0
         self._retried_batches = 0
         self._last_fault: str | None = None
 
     # ------------------------------------------------------------------ public
-
-    @property
-    def size(self) -> int:
-        """Worker count new pool generations are built with."""
-        with self._state_lock:
-            return self._size
 
     @property
     def retired(self) -> bool:
@@ -191,24 +133,15 @@ class SupervisedPool:
             return self._state == "closed"
 
     def should_parallelise(self, num_designs: int) -> bool:
-        """Whether a batch is big enough to amortise the IPC of sharding.
-
-        Deliberately measured against the *floor* size, not the current one:
-        if the threshold grew with the pool, medium batches would stop being
-        admitted after a scale-up — starving the queue-depth signal, so a
-        grown pool could never shrink back while those same batches run
-        serial forever.  Any batch worth pooling at the floor stays pooled
-        at every size (``shard_evenly`` just hands out fewer, larger shards
-        than workers when the batch is small).
-        """
-        return num_designs >= self.min_workers * self.min_designs_per_worker
+        """Whether a batch is big enough to amortise the IPC of sharding."""
+        return num_designs >= self.workers * self.min_designs_per_worker
 
     def run(self, batch_fn: Callable[[object], object], *, cost: int = 1):
         """Run one batch through the supervised pool; restart on crashes.
 
         ``batch_fn(pool)`` must perform one complete pool batch (a
         ``featurise`` or ``predict_batch`` call); ``cost`` is the batch's
-        design count, the unit queue depth and autoscaling reason about.
+        design count, the unit of the reported queue depth.
 
         Raises :class:`PoolRetiredError` once the restart budget is
         exhausted and :class:`PoolClosedError` after :meth:`close`; every
@@ -217,7 +150,9 @@ class SupervisedPool:
         """
         if cost < 0:
             raise ValueError("cost must be >= 0")
-        self._admit(cost)
+        with self._state_lock:
+            self._check_open_locked()
+            self._queue_depth += cost
         try:
             while True:
                 generation, pool = self._acquire()
@@ -236,10 +171,6 @@ class SupervisedPool:
                     if self._state == "backoff":
                         # The restarted pool proved itself: healthy again.
                         self._state = "ok"
-                    refunded = self._refund_budget_locked()
-                    remaining = self._restarts
-                if refunded:
-                    self._emit("budget_refund", refunded=refunded, restarts=remaining)
                 return result
         finally:
             with self._state_lock:
@@ -250,27 +181,19 @@ class SupervisedPool:
 
         Includes per-worker heartbeats when the current pool generation keeps
         a heartbeat book (both process pools do): ``pid -> {last_seen,
-        age_s}``, stamped passively by traced shard results and actively by
-        :meth:`probe`.
+        age_s}``, stamped passively by traced shard results.
         """
         with self._state_lock:
             pool = self._pools.get(self._generation)
             snapshot = {
                 "name": self.name,
                 "state": self._state,
-                "size": self._size,
-                "target_size": self._target_size,
-                "min_workers": self.min_workers,
-                "max_workers": self.max_workers,
+                "size": self.workers,
                 "queue_depth": self._queue_depth,
                 "in_flight_batches": sum(self._in_flight.values()),
                 "restarts": self._restarts,
                 "max_restarts": self.max_restarts,
-                "restart_budget_decay_s": self.restart_budget_decay_s,
-                "budget_refunds": self._budget_refunds,
                 "last_fault": self._last_fault,
-                "scale_ups": self._scale_ups,
-                "scale_downs": self._scale_downs,
                 "batches": self._batches,
                 "retried_batches": self._retried_batches,
             }
@@ -282,23 +205,6 @@ class SupervisedPool:
                 for pid, seen in sorted(heartbeats().items())
             }
         return snapshot
-
-    def probe(self) -> dict[int, float]:
-        """Actively heartbeat-probe the current pool generation.
-
-        Best-effort by design: returns ``{}`` when there is no live pool,
-        the pool has no probe, or the probe itself faults (a broken pool is
-        the *next batch's* recovery to run, not the prober's).
-        """
-        with self._state_lock:
-            pool = self._pools.get(self._generation)
-        probe = getattr(pool, "probe", None)
-        if not callable(probe):
-            return {}
-        try:
-            return probe()
-        except Exception:
-            return {}
 
     def retire(self, reason: str) -> None:
         """Retire the pool from outside the crash path.  Idempotent.
@@ -350,87 +256,33 @@ class SupervisedPool:
 
     # --------------------------------------------------------------- internals
 
-    def _admit(self, cost: int) -> None:
-        """Count the batch into the queue and make the autoscale decision.
-
-        The decision only moves ``_target_size``; the actual resize happens
-        at the next batch admission (see :meth:`_acquire`), never under a
-        running batch — in-flight batches keep the pool they acquired.
-        """
-        with self._state_lock:
-            if self._state == "closed":
-                raise PoolClosedError(f"{self.name} supervisor is closed")
-            if self._state == "retired":
-                raise PoolRetiredError(
-                    f"{self.name} pool is retired after {self._restarts} restarts"
-                )
-            self._queue_depth += cost
-            depth = self._queue_depth
-            if self.max_workers == self.min_workers:
-                return
-            size = self._target_size
-            if depth > size * self.scale_up_queue_per_worker:
-                if size < self.max_workers:
-                    # Grow fast (doubling): a queued burst should reach a
-                    # useful size in O(log) batches, not one worker at a time.
-                    self._target_size = min(self.max_workers, size * 2)
-                self._idle_streak = 0
-            elif depth <= size * self.scale_down_queue_per_worker:
-                self._idle_streak += 1
-                if self._idle_streak >= self.scale_down_patience:
-                    # Shrink slowly (one worker after a patience streak):
-                    # the asymmetry plus the threshold gap is the hysteresis.
-                    if size > self.min_workers:
-                        self._target_size = size - 1
-                    self._idle_streak = 0
-            else:
-                self._idle_streak = 0
+    def _check_open_locked(self) -> None:
+        if self._state == "closed":
+            raise PoolClosedError(f"{self.name} supervisor is closed")
+        if self._state == "retired":
+            raise PoolRetiredError(
+                f"{self.name} pool is retired after {self._restarts} restarts"
+            )
 
     def _acquire(self) -> tuple[int, object]:
-        """Hand out the current pool generation, applying pending resizes.
+        """Hand out the current pool generation, building it on first use.
 
-        A resize starts a new pool generation for *subsequent* batches;
-        batches already in flight finish on the generation they acquired
-        (the last one out drain-closes it in :meth:`_finish`).  Every
-        batch's shards therefore run on exactly one pool — the "resize at
-        shard boundaries, never mid-batch" contract — and a resize decided
-        under sustained overlapping traffic still lands at the very next
-        admission instead of waiting for a full traffic gap.
+        A restart starts a new generation for *subsequent* batches; batches
+        already in flight finish on the generation they acquired (the last
+        one out drain-closes it in :meth:`_finish`), so every batch's shards
+        run on exactly one pool.
         """
-        stale = None
-        resize: tuple[str, int, int] | None = None
         with self._state_lock:
-            if self._state == "closed":
-                raise PoolClosedError(f"{self.name} supervisor is closed")
-            if self._state == "retired":
-                raise PoolRetiredError(
-                    f"{self.name} pool is retired after {self._restarts} restarts"
-                )
-            if self._target_size != self._size:
-                if self._target_size > self._size:
-                    self._scale_ups += 1
-                    resize = ("scale_up", self._size, self._target_size)
-                else:
-                    self._scale_downs += 1
-                    resize = ("scale_down", self._size, self._target_size)
-                self._size = self._target_size
-                if not self._in_flight.get(self._generation):
-                    stale = self._pools.pop(self._generation, None)
-                self._generation += 1
+            self._check_open_locked()
             generation = self._generation
             pool = self._pools.get(generation)
             if pool is None:
                 # Build under the lock: pool constructors are cheap by
                 # contract (worker processes spawn lazily on first use), and
                 # racing builders would leak a pool's worth of processes.
-                pool = self.factory(self._size)
+                pool = self.factory(self.workers)
                 self._pools[generation] = pool
             self._in_flight[generation] = self._in_flight.get(generation, 0) + 1
-        if stale is not None:
-            self._close_quietly(stale)
-        if resize is not None:
-            kind, old_size, new_size = resize
-            self._emit(kind, from_workers=old_size, to_workers=new_size)
         return generation, pool
 
     def _finish(self, generation: int) -> None:
@@ -477,7 +329,6 @@ class SupervisedPool:
                     retire = False
                     self._restarts += 1
                     self._retried_batches += 1
-                    self._budget_anchor = self._clock()
                     self._state = "backoff"
                     if not self._in_flight.get(generation):
                         stale = self._pools.pop(generation, None)
@@ -508,32 +359,6 @@ class SupervisedPool:
                     pass
             if delay > 0:
                 self._sleep(delay)
-
-    def _refund_budget_locked(self) -> int:
-        """Refund restart budget earned by sustained fault-free operation.
-
-        Called on every batch success under ``_state_lock``.  Each full
-        ``restart_budget_decay_s`` window elapsed since the last consumed
-        restart (or last refund) returns one restart to the budget — a long
-        fault-free stretch may refund several at once, which is exactly the
-        schedule: N windows of proven health undo N old faults.  No refund
-        while in backoff: the restarted pool must prove itself (flip the
-        state back to ``ok`` above) before its uptime starts counting.
-        """
-        if (
-            self.restart_budget_decay_s <= 0
-            or not self._restarts
-            or self._state != "ok"
-        ):
-            return 0
-        now = self._clock()
-        refunded = 0
-        while self._restarts and now - self._budget_anchor >= self.restart_budget_decay_s:
-            self._restarts -= 1
-            self._budget_refunds += 1
-            self._budget_anchor += self.restart_budget_decay_s
-            refunded += 1
-        return refunded
 
     def _emit(self, kind: str, **fields) -> None:
         """Report one lifecycle event through the observer, best-effort."""

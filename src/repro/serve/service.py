@@ -32,11 +32,11 @@ cache gains a persistent on-disk tier
 warm sets survive restarts.  All of them preserve the serial path's results
 exactly.
 
-Both pools run under :class:`~repro.runtime.supervisor.SupervisedPool`: a
-crashed worker restarts within ``RuntimeConfig.pool_max_restarts`` (with
-exponential backoff) instead of retiring the pool on the first strike, the
-featurisation pool autoscales between ``num_workers_min`` and
-``num_workers_max`` with queue depth, and per-pool health snapshots surface
+Both pools run under :class:`~repro.runtime.supervisor.SupervisedPool` at
+a fixed size (``num_workers`` featurisation workers, ``forward_workers``
+forward workers): a crashed worker restarts within
+``RuntimeConfig.pool_max_restarts`` (with exponential backoff) instead of
+retiring the pool on the first strike, and per-pool health snapshots surface
 through :meth:`PowerEstimationService.runtime_stats`,
 :meth:`PowerEstimationService.health` and the HTTP ``/metrics`` /
 ``/healthz`` endpoints.
@@ -461,13 +461,15 @@ class PowerEstimationService:
         )
         # Pools live behind supervisors (repro.runtime.supervisor): crashes
         # restart the pool within RuntimeConfig.pool_max_restarts instead of
-        # retiring it on the first strike, and the featurisation pool
-        # autoscales with queue depth.  The stats objects are service-owned
-        # so lifetime counters survive pool rebuilds.
+        # retiring it on the first strike.  The stats objects are
+        # service-owned so lifetime counters survive pool rebuilds.
         self._feat_supervisor: SupervisedPool | None = None
         self._forward_supervisor: SupervisedPool | None = None
         self._pool_stats = PoolStats()
         self._forward_pool_stats = ForwardPoolStats()
+        # (pool, pid) series of the heartbeat gauge exported by the last
+        # /metrics refresh; the next refresh removes the ones that died.
+        self._heartbeat_series: set[tuple[str, str]] = set()
         # Consecutive non-crash pooled failures per supervisor name: crashes
         # are the supervisor's restart budget, but a pool that fails
         # *deterministically* (e.g. construction-time validation) would
@@ -572,9 +574,9 @@ class PowerEstimationService:
         """Instrumentation of the runtime components (pools, coalescer, caches).
 
         Each pool entry merges the pool's lifetime throughput counters
-        (which survive supervised restarts and resizes) with the
-        supervisor's health snapshot under ``"supervisor"`` (state, current
-        size, queue depth, restart budget, last fault).
+        (which survive supervised restarts) with the supervisor's health
+        snapshot under ``"supervisor"`` (state, size, queue depth, restart
+        budget, last fault).
 
         ``backend`` reports the active compute backend plus the per-backend
         forward counters (process-wide singletons, so the numbers aggregate
@@ -643,18 +645,30 @@ class PowerEstimationService:
         )
 
     def _refresh_heartbeat_gauges(self) -> None:
-        """Project per-worker last-heartbeat ages into the metrics registry."""
-        for name, supervisor in (
-            ("featurisation", self._feat_supervisor),
-            ("forward", self._forward_supervisor),
-        ):
-            if supervisor is None:
-                continue
-            heartbeats = supervisor.health().get("heartbeats") or {}
-            for pid, info in heartbeats.items():
-                self.obs.worker_heartbeat_age.labels(pool=name, pid=str(pid)).set(
-                    info["age_s"]
-                )
+        """Project per-worker last-heartbeat ages into the metrics registry.
+
+        Only the current pool generation's workers are exported: a series
+        whose pid left the heartbeat book (its pool crashed, restarted or
+        closed) is removed, so a dead worker never looks alive.
+        """
+        gauge = self.obs.worker_heartbeat_age
+        # Under the lock, so concurrent scrapes cannot interleave a stale
+        # live set with a newer one and leave a dead series behind.
+        with self._pool_lock:
+            live = set()
+            for name, supervisor in (
+                ("featurisation", self._feat_supervisor),
+                ("forward", self._forward_supervisor),
+            ):
+                if supervisor is None:
+                    continue
+                heartbeats = supervisor.health().get("heartbeats") or {}
+                for pid, info in heartbeats.items():
+                    gauge.labels(pool=name, pid=pid).set(info["age_s"])
+                    live.add((name, pid))
+            for labels in self._heartbeat_series - live:
+                gauge.remove(*labels)
+            self._heartbeat_series = live
 
     def health(self) -> dict:
         """Liveness/degradation summary (what the HTTP ``/healthz`` serves).
@@ -1077,25 +1091,17 @@ class PowerEstimationService:
             # Locked check-then-act: two concurrent cold calls must not each
             # build a supervisor (its own locks guard the actual processes).
             if self._feat_supervisor is None:
-                low, high, start = self.runtime.featurisation_worker_bounds()
                 self._feat_supervisor = SupervisedPool(
                     lambda workers: WorkerPool(
                         config=self.generator.config,
                         num_workers=workers,
                         start_method=self.runtime.start_method,
-                        min_designs_per_worker=self.runtime.min_designs_per_worker,
                         stats=self._pool_stats,
                         tracer=self.obs.tracer,
                     ),
-                    min_workers=low,
-                    max_workers=high,
-                    start_workers=start,
+                    workers=self.runtime.num_workers,
                     max_restarts=self.runtime.pool_max_restarts,
-                    restart_budget_decay_s=self.runtime.pool_restart_budget_decay_s,
                     backoff_base_s=self.runtime.pool_restart_backoff_s,
-                    scale_up_queue_per_worker=self.runtime.autoscale_up_queue_per_worker,
-                    scale_down_queue_per_worker=self.runtime.autoscale_down_queue_per_worker,
-                    scale_down_patience=self.runtime.autoscale_down_patience,
                     min_designs_per_worker=self.runtime.min_designs_per_worker,
                     name="featurisation",
                     on_fault=lambda fault: self.metrics.record(pooled_errors=1),
@@ -1234,23 +1240,17 @@ class PowerEstimationService:
                 return None
             # Locked check-then-act, same contract as the featurisation pool.
             if self._forward_supervisor is None:
-                workers = self.runtime.forward_workers
                 self._forward_supervisor = SupervisedPool(
-                    lambda num_workers: ForwardPool(
+                    lambda workers: ForwardPool(
                         self.model,
-                        num_workers=num_workers,
+                        num_workers=workers,
                         start_method=self.runtime.start_method,
                         backend=self.backend.name,
                         stats=self._forward_pool_stats,
                         tracer=self.obs.tracer,
                     ),
-                    # Fixed size: the shard axis is a data axis (the members
-                    # of one ensemble), so queue depth says nothing about
-                    # useful parallelism — supervision without autoscaling.
-                    min_workers=workers,
-                    max_workers=workers,
+                    workers=self.runtime.forward_workers,
                     max_restarts=self.runtime.pool_max_restarts,
-                    restart_budget_decay_s=self.runtime.pool_restart_budget_decay_s,
                     backoff_base_s=self.runtime.pool_restart_backoff_s,
                     name="forward",
                     on_fault=lambda fault: self.metrics.record(pooled_errors=1),

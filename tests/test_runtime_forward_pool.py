@@ -20,8 +20,13 @@ from repro.flow.powergear import PowerGear, PowerGearConfig
 from repro.gnn.config import GNNConfig
 from repro.gnn.ensemble import EnsembleConfig
 from repro.gnn.trainer import TrainingConfig
-from repro.runtime import ForwardPool, SharedParameterBlock, attach_parameter_block
-from repro.runtime.pool import ForwardTask
+from repro.runtime import (
+    ForwardPool,
+    SharedParameterBlock,
+    attach_parameter_block,
+    available_cpus,
+)
+from repro.runtime.pool import ForwardTask, _openblas_function
 
 from test_serve_service import build_synthetic_samples
 
@@ -97,6 +102,21 @@ def test_forward_pool_matches_serial_bitwise(fitted_ensemble):
     assert pool.stats.designs == 2 * len(queries)
     assert pool.stats.shared_bytes > 0
     assert pool.stats.member_forwards == 2 * 3 * pool.num_members  # 3 chunks
+
+
+def _worker_blas_threads() -> int:
+    return int(_openblas_function("get_num_threads")())
+
+
+def test_forward_workers_pin_blas_to_one_thread(fitted_ensemble):
+    """Each forward worker runs its GEMMs on one BLAS thread, so workers do
+    not each start a thread per core and oversubscribe the machine."""
+    if available_cpus() < 2 or _openblas_function("get_num_threads") is None:
+        pytest.skip("needs >= 2 usable cores and numpy's bundled OpenBLAS")
+    model, samples = fitted_ensemble
+    with ForwardPool(model, num_workers=2) as pool:
+        pool.predict_batch(samples[28:32])  # starts the initialised workers
+        assert pool._pool.submit(_worker_blas_threads).result() == 1
 
 
 def test_forward_pool_single_chunk_and_empty(fitted_ensemble):

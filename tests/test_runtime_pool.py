@@ -81,23 +81,12 @@ def test_worker_task_matches_generator_inline(atax_space):
 def test_pool_validates_configuration():
     with pytest.raises(ValueError):
         WorkerPool(config=POOL_CONFIG, num_workers=1)
-    with pytest.raises(ValueError):
-        WorkerPool(config=POOL_CONFIG, num_workers=2, min_designs_per_worker=0)
-
-
-def test_pool_should_parallelise_threshold():
-    pool = WorkerPool(config=POOL_CONFIG, num_workers=2, min_designs_per_worker=3)
-    assert not pool.should_parallelise(5)
-    assert pool.should_parallelise(6)
-    pool.close()  # never started: close is a safe no-op
 
 
 def test_pooled_featurisation_is_bitwise_identical_to_serial(atax_space):
     """Acceptance invariant: pooled featurisation == serial, bit for bit."""
     serial = DatasetGenerator(POOL_CONFIG).featurise("atax", atax_space)
-    with WorkerPool(
-        config=POOL_CONFIG, num_workers=2, min_designs_per_worker=1
-    ) as pool:
+    with WorkerPool(config=POOL_CONFIG, num_workers=2) as pool:
         pooled = pool.featurise("atax", atax_space)
         # A second batch reuses the warm workers (and their per-kernel state).
         again = pool.featurise("atax", atax_space[:3])

@@ -1,20 +1,20 @@
-"""Self-healing pools: supervised restart-on-crash, autoscaling, health.
+"""Self-healing pools: supervised restart-on-crash and health.
 
 Three layers of coverage:
 
 * **unit** — :class:`SupervisedPool` over fake in-process pools: restart
   budget and exponential backoff, retirement, generation-deduplicated
-  concurrent crash recovery, queue-depth autoscaling with hysteresis, and
-  the resize-only-between-batches contract;
+  concurrent crash recovery, the fixed-size pooling threshold, and the
+  contract that a restart never swaps the pool under an in-flight batch;
 * **real processes** — a minimal executor-backed pool whose worker SIGKILLs
   itself mid-batch via a poisoned task (fork and spawn): the supervisor must
   restart it within budget and the retried batch must equal the serial
   result exactly;
-* **service** — a SIGKILLed featurisation/forward worker under
+* **service** — a SIGKILLed featurisation worker under
   ``PowerEstimationService``: the next ``estimate_many`` is answered
   bitwise-identically to the serial path, with the fault visible in
-  ``runtime_stats()`` / ``health()`` and the pool restarted, plus the
-  queued-burst scale-up / idle scale-down acceptance path.
+  ``runtime_stats()`` / ``health()``, the pool restarted, and only the live
+  workers' heartbeats exported.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class Harness:
         return pool
 
     def supervisor(self, **kwargs) -> SupervisedPool:
-        kwargs.setdefault("min_workers", 2)
-        kwargs.setdefault("max_workers", 2)
+        kwargs.setdefault("workers", 2)
         kwargs.setdefault("on_fault", self.faults.append)
         kwargs.setdefault("on_restart", self._count_restart)
         kwargs.setdefault("sleep", self.sleeps.append)
@@ -87,17 +86,9 @@ class Harness:
 def test_supervisor_validates_configuration():
     harness = Harness()
     with pytest.raises(ValueError):
-        harness.supervisor(min_workers=1)
-    with pytest.raises(ValueError):
-        harness.supervisor(min_workers=4, max_workers=2)
+        harness.supervisor(workers=1)
     with pytest.raises(ValueError):
         harness.supervisor(max_restarts=-1)
-    with pytest.raises(ValueError):
-        harness.supervisor(
-            scale_up_queue_per_worker=1.0, scale_down_queue_per_worker=1.0
-        )
-    with pytest.raises(ValueError):
-        harness.supervisor(scale_down_patience=0)
 
 
 def test_run_passes_through_and_counts_batches():
@@ -176,181 +167,6 @@ def test_retires_after_budget_and_stays_retired():
     supervisor.close()
 
 
-def test_restart_budget_decay_refunds_after_sustained_success():
-    """Each full decay window of post-restart success refunds one restart,
-    so an old crash stops counting against the budget forever."""
-    harness = Harness()
-    now = [0.0]
-    crashes = {"left": 2}
-
-    def flaky(pool):
-        if crashes["left"]:
-            crashes["left"] -= 1
-            raise WorkerCrashError("injected")
-        return "ok"
-
-    class Recorder:
-        events: list = []
-
-        def pool_event(self, kind, **fields):
-            self.events.append((kind, fields))
-
-    with harness.supervisor(
-        max_restarts=3,
-        restart_budget_decay_s=10.0,
-        backoff_base_s=0.0,
-        clock=lambda: now[0],
-        observer=Recorder(),
-    ) as supervisor:
-        assert supervisor.run(flaky) == "ok"  # two crashes consumed
-        assert supervisor.health()["restarts"] == 2
-        assert supervisor.health()["budget_refunds"] == 0
-
-        now[0] = 9.9  # just under one window since the last restart
-        supervisor.run(lambda pool: "ok")
-        assert supervisor.health()["restarts"] == 2
-
-        now[0] = 10.0  # one full window of sustained success
-        supervisor.run(lambda pool: "ok")
-        health = supervisor.health()
-        assert health["restarts"] == 1
-        assert health["budget_refunds"] == 1
-        assert health["restart_budget_decay_s"] == 10.0
-
-        now[0] = 20.0  # a second window
-        supervisor.run(lambda pool: "ok")
-        assert supervisor.health()["restarts"] == 0
-
-        now[0] = 200.0  # the budget floors at zero, refunds stop
-        supervisor.run(lambda pool: "ok")
-        final = supervisor.health()
-    assert final["restarts"] == 0
-    assert final["budget_refunds"] == 2
-    refunds = [fields for kind, fields in Recorder.events if kind == "budget_refund"]
-    assert [r["refunded"] for r in refunds] == [1, 1]
-    assert [r["restarts"] for r in refunds] == [1, 0]
-
-
-def test_restart_budget_decay_refunds_multiple_windows_at_once():
-    """Refunds are computed lazily on success, so a long quiet stretch pays
-    out every elapsed window in one step (capped at what was consumed)."""
-    harness = Harness()
-    now = [0.0]
-    crashes = {"left": 3}
-
-    def flaky(pool):
-        if crashes["left"]:
-            crashes["left"] -= 1
-            raise WorkerCrashError("injected")
-        return "ok"
-
-    with harness.supervisor(
-        max_restarts=3,
-        restart_budget_decay_s=10.0,
-        backoff_base_s=0.0,
-        clock=lambda: now[0],
-    ) as supervisor:
-        supervisor.run(flaky)
-        assert supervisor.health()["restarts"] == 3
-        now[0] = 25.0  # 2.5 windows → exactly two refunds
-        supervisor.run(lambda pool: "ok")
-        assert supervisor.health()["restarts"] == 1
-        assert supervisor.health()["budget_refunds"] == 2
-
-
-def test_restart_budget_decay_extends_the_retirement_horizon():
-    """The point of the satellite: a pool crashing once per (long) while
-    under an active decay schedule never retires, while the same crash rate
-    without decay burns the budget down."""
-    harness = Harness()
-    now = [0.0]
-
-    def crash_once():
-        counter = {"left": 1}
-
-        def task(pool):
-            if counter["left"]:
-                counter["left"] -= 1
-                raise WorkerCrashError("periodic")
-            return "ok"
-
-        return task
-
-    with harness.supervisor(
-        max_restarts=2,
-        restart_budget_decay_s=10.0,
-        backoff_base_s=0.0,
-        clock=lambda: now[0],
-    ) as supervisor:
-        for round_index in range(6):  # 6 crashes against a budget of 2
-            supervisor.run(crash_once())
-            now[0] += 15.0  # sustained success refunds before the next crash
-            supervisor.run(lambda pool: "ok")
-        health = supervisor.health()
-    assert health["state"] == "ok"
-    assert health["restarts"] == 0
-    assert health["budget_refunds"] == 6
-
-
-def test_restart_budget_decay_anchor_resets_on_each_restart():
-    """Time served *before* a crash must not prepay the refund: the decay
-    window restarts from the most recent restart."""
-    harness = Harness()
-    now = [0.0]
-    crashes = {"left": 0}
-
-    def maybe_crash(pool):
-        if crashes["left"]:
-            crashes["left"] -= 1
-            raise WorkerCrashError("injected")
-        return "ok"
-
-    with harness.supervisor(
-        max_restarts=3,
-        restart_budget_decay_s=10.0,
-        backoff_base_s=0.0,
-        clock=lambda: now[0],
-    ) as supervisor:
-        now[0] = 9.0  # nine quiet seconds before the first crash...
-        crashes["left"] = 1
-        supervisor.run(maybe_crash)
-        now[0] = 10.0  # ...must not count: only 1s has passed since restart
-        supervisor.run(lambda pool: "ok")
-        assert supervisor.health()["restarts"] == 1
-        now[0] = 19.0  # 10s since the restart at t=9
-        supervisor.run(lambda pool: "ok")
-        assert supervisor.health()["restarts"] == 0
-
-
-def test_restart_budget_decay_disabled_by_default():
-    harness = Harness()
-    now = [0.0]
-    crashes = {"left": 1}
-
-    def flaky(pool):
-        if crashes["left"]:
-            crashes["left"] -= 1
-            raise WorkerCrashError("injected")
-        return "ok"
-
-    with harness.supervisor(
-        max_restarts=3, backoff_base_s=0.0, clock=lambda: now[0]
-    ) as supervisor:
-        supervisor.run(flaky)
-        now[0] = 1e9  # an eternity of success
-        supervisor.run(lambda pool: "ok")
-        health = supervisor.health()
-    assert health["restarts"] == 1  # nothing refunded
-    assert health["budget_refunds"] == 0
-    assert health["restart_budget_decay_s"] == 0.0
-
-
-def test_restart_budget_decay_validated():
-    harness = Harness()
-    with pytest.raises(ValueError):
-        harness.supervisor(restart_budget_decay_s=-1.0)
-
-
 def test_task_errors_propagate_without_consuming_budget():
     harness = Harness()
     with harness.supervisor() as supervisor:
@@ -405,95 +221,53 @@ def test_concurrent_crashes_consume_one_restart():
     supervisor.close()
 
 
-# -------------------------------------------------------------- autoscaling
-
-
-def test_autoscale_grows_under_queued_burst_and_shrinks_when_idle():
+def test_restart_never_swaps_a_batch_mid_flight():
+    """A restart starts a new generation for NEW batches, while a batch
+    already in flight finishes on the generation it acquired and, as the last
+    one out, drain-closes it."""
     harness = Harness()
-    supervisor = harness.supervisor(
-        min_workers=2,
-        max_workers=8,
-        scale_up_queue_per_worker=4.0,
-        scale_down_queue_per_worker=1.0,
-        scale_down_patience=2,
-    )
-    # Burst: 40 designs against 2 workers (depth 40 > 2*4) doubles the pool;
-    # the resize lands before the batch's pool call — a shard boundary.
-    assert supervisor.run(lambda pool: pool.num_workers, cost=40) == 4
-    assert supervisor.run(lambda pool: pool.num_workers, cost=40) == 8
-    assert supervisor.health()["scale_ups"] == 2
-    # Mid-band traffic (8 < depth 16 <= 32) is hysteresis: no move either way.
-    assert supervisor.run(lambda pool: pool.num_workers, cost=16) == 8
-    assert supervisor.health()["scale_downs"] == 0
-    # Idle: low-pressure batches shrink one worker per patience streak.
-    sizes = [supervisor.run(lambda pool: pool.num_workers, cost=2) for _ in range(14)]
-    assert supervisor.size == 2
-    assert sizes[-1] == 2
-    assert sizes == sorted(sizes, reverse=True)  # monotone shrink, no flapping
-    health = supervisor.health()
-    assert health["scale_downs"] == 6  # 8 -> 2, one worker at a time
-    assert health["min_workers"] == 2 and health["max_workers"] == 8
-    # Every displaced generation was closed; exactly one pool is live.
-    assert sum(not pool.closed for pool in harness.created) == 1
-    supervisor.close()
-
-
-def test_resize_never_swaps_a_batch_mid_flight():
-    """A resize lands immediately for NEW batches — even under sustained
-    overlapping traffic, no quiet gap required — while a batch already in
-    flight finishes on the pool generation it acquired and drain-closes it."""
-    harness = Harness()
-    supervisor = harness.supervisor(min_workers=2, max_workers=8)
+    supervisor = harness.supervisor(backoff_base_s=0.0)
     release = threading.Event()
-    acquired = threading.Semaphore(0)
+    acquired = threading.Event()
+    results: list = [None]
 
     def slow(pool):
-        acquired.release()
+        acquired.set()
         assert release.wait(timeout=30)
         return pool
 
-    results: list = [None, None]
+    def crash_on_first_generation(pool):
+        if pool is harness.created[0]:
+            raise WorkerCrashError("injected")
+        return pool
 
-    def call(slot: int, cost: int) -> None:
-        results[slot] = supervisor.run(slow, cost=cost)
+    def hold() -> None:
+        results[0] = supervisor.run(slow)
 
-    holder = threading.Thread(target=call, args=(0, 1))
+    holder = threading.Thread(target=hold)
     holder.start()
-    assert acquired.acquire(timeout=30)
-    # A burst admission moves the target while the first batch is in flight;
-    # the burst batch itself already runs on the grown generation...
-    burst = threading.Thread(target=call, args=(1, 100))
-    burst.start()
-    assert acquired.acquire(timeout=30)
+    assert acquired.wait(timeout=30)
+    # Another batch crashes off generation 0 and retries on generation 1
+    # while the slow batch still holds generation 0.
+    assert supervisor.run(crash_on_first_generation) is harness.created[1]
     health = supervisor.health()
-    assert health["in_flight_batches"] == 2
-    assert health["size"] > 2
+    assert health["restarts"] == 1
+    assert health["in_flight_batches"] == 1
+    assert not harness.created[0].closed  # not yanked from under the batch
     release.set()
     holder.join(timeout=30)
-    burst.join(timeout=30)
-    # ...while the holder kept its original 2-worker pool: no mid-batch swap.
-    assert results[0] is not results[1]
-    assert results[0].num_workers == 2
-    assert results[1].num_workers > 2
-    # The displaced generation was drain-closed by its last batch.
-    assert results[0].closed
-    assert not results[1].closed
+    assert results[0] is harness.created[0]  # finished on generation 0...
+    assert harness.created[0].closed  # ...and drain-closed it on the way out
+    assert not harness.created[1].closed
     supervisor.close()
 
 
-def test_should_parallelise_is_pinned_to_the_floor():
-    """The pooling threshold must not grow with the pool: if it did, medium
-    batches would go serial after a scale-up and stop feeding the queue-depth
-    signal — so a grown pool could never shrink back."""
+def test_should_parallelise_uses_the_fixed_size():
+    """Batches below ``workers * min_designs_per_worker`` stay serial."""
     harness = Harness()
-    supervisor = harness.supervisor(
-        min_workers=2, max_workers=8, min_designs_per_worker=3
-    )
+    supervisor = harness.supervisor(workers=2, min_designs_per_worker=3)
     assert not supervisor.should_parallelise(5)
     assert supervisor.should_parallelise(6)
-    supervisor.run(lambda pool: None, cost=100)  # grows the pool
-    assert supervisor.size > 2
-    assert supervisor.should_parallelise(6)  # still admitted at the floor bar
     supervisor.close()
 
 
@@ -559,8 +333,7 @@ def test_sigkilled_worker_mid_batch_is_restarted(start_method, tmp_path):
     tasks = [(value, sentinel) for value in range(8)]
     supervisor = SupervisedPool(
         lambda workers: SquarePool(workers, start_method),
-        min_workers=2,
-        max_workers=2,
+        workers=2,
         max_restarts=2,
         backoff_base_s=0.01,
     )
@@ -591,8 +364,7 @@ def test_sigkill_every_batch_exhausts_budget_and_retires(tmp_path):
 
     supervisor = SupervisedPool(
         lambda workers: SquarePool(workers, "fork"),
-        min_workers=2,
-        max_workers=2,
+        workers=2,
         max_restarts=1,
         backoff_base_s=0.0,
     )
@@ -669,6 +441,8 @@ def test_service_restarts_sigkilled_featurisation_worker(
 
         supervisor = service._feat_supervisor
         assert supervisor is not None
+        service.metrics_snapshot()  # exports the first generation's heartbeats
+        killed = {str(pid) for pid in _current_worker_pids(supervisor)}
         executor = supervisor._pools[supervisor._generation]._pool
         os.kill(_current_worker_pids(supervisor)[0], signal.SIGKILL)
         # Wait until the executor's manager thread has observed the death
@@ -701,46 +475,18 @@ def test_service_restarts_sigkilled_featurisation_worker(
         assert stats["supervisor"]["retried_batches"] == 1
         assert health["status"] == "ok"
         assert health["pools"]["featurisation"]["restarts"] == 1
-
-
-def test_service_autoscale_grows_on_burst_and_shrinks_idle(
-    supervised_model, atax_requests
-):
-    """Acceptance: pool size demonstrably scales up under a queued burst and
-    back down when idle (real worker processes, fork)."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork unavailable on this platform")
-    runtime = RuntimeConfig(
-        num_workers=2,
-        num_workers_max=4,
-        min_designs_per_worker=1,
-        start_method="fork",
-        # Watermarks sized to the workload: the 40-design burst clears the
-        # up-threshold at 2 workers (40 > 16); the 4-design idle batches sit
-        # below the down-threshold at every size (4 <= 2*size for size >= 2).
-        autoscale_up_queue_per_worker=8.0,
-        autoscale_down_queue_per_worker=2.0,
-        autoscale_down_patience=1,
-    )
-    burst = atax_requests * 5  # one queued burst of duplicated design points
-    with PowerEstimationService(
-        supervised_model,
-        generator=DatasetGenerator(SUPERVISOR_CONFIG),
-        runtime=runtime,
-    ) as service:
-        service.estimate_many(burst)  # depth 40 > 2*4: grow
-        supervisor = service._feat_supervisor
-        assert supervisor.size == 4
-        assert supervisor.health()["scale_ups"] == 1
-        # Idle traffic: small batches shrink the pool back to the floor.
-        shrink_sizes = []
-        for _ in range(4):
-            service.cache.clear()
-            service.estimate_many(atax_requests[:4])
-            shrink_sizes.append(supervisor.size)
-        assert supervisor.size == 2
-        assert supervisor.health()["scale_downs"] >= 2
-        assert shrink_sizes == sorted(shrink_sizes, reverse=True)
+        # The heartbeat gauge exports exactly the live generation's workers
+        # (those that ran a shard of the retried batch; one worker may have
+        # run both): the killed generation's series are gone, not left
+        # looking fresh.
+        service.metrics_snapshot()
+        exported = {
+            key.split("|")[1] for key in service.obs.worker_heartbeat_age.snapshot()
+        }
+        beating = set(service.health()["pools"]["featurisation"]["heartbeats"])
+        assert exported == beating
+        assert exported <= {str(pid) for pid in _current_worker_pids(supervisor)}
+        assert exported and exported.isdisjoint(killed)
 
 
 def test_runtime_config_validates_supervision_knobs():
@@ -748,31 +494,3 @@ def test_runtime_config_validates_supervision_knobs():
         RuntimeConfig(pool_max_restarts=-1)
     with pytest.raises(ValueError):
         RuntimeConfig(pool_restart_backoff_s=-0.1)
-    with pytest.raises(ValueError):
-        RuntimeConfig(pool_restart_budget_decay_s=-1.0)
-    with pytest.raises(ValueError, match="num_workers_min=8"):
-        RuntimeConfig(num_workers_min=8, num_workers_max=4)
-    # A floor without a pool to apply it to is rejected, not silently ignored.
-    with pytest.raises(ValueError, match="num_workers_min requires"):
-        RuntimeConfig(num_workers_min=4)
-    with pytest.raises(ValueError):
-        RuntimeConfig(
-            autoscale_up_queue_per_worker=1.0, autoscale_down_queue_per_worker=2.0
-        )
-    with pytest.raises(ValueError):
-        RuntimeConfig(autoscale_down_patience=0)
-    # num_workers_max alone enables the supervised pool from the floor.
-    config = RuntimeConfig(num_workers_max=4)
-    assert config.parallel_featurisation
-    assert config.featurisation_worker_bounds() == (2, 4, 2)
-    # An unset floor defers to num_workers: autoscaling only grows from the
-    # operator's start size, never shrinks below it.
-    assert RuntimeConfig(
-        num_workers=6, num_workers_max=8
-    ).featurisation_worker_bounds() == (6, 8, 6)
-    # Fixed-size config keeps the old shape: min == max == start.
-    assert RuntimeConfig(num_workers=3).featurisation_worker_bounds() == (3, 3, 3)
-    # A start size above the ceiling is a config conflict, not a clamp — and
-    # the error names the field the operator actually set.
-    with pytest.raises(ValueError, match="num_workers=6"):
-        RuntimeConfig(num_workers=6, num_workers_max=4)

@@ -1,24 +1,16 @@
-"""Packed mega-graph forward microbenchmark: backends + pooled prediction.
+"""Pooled packed mega-graph forward microbenchmark.
 
-Two measurements on one synthetic ensemble workload:
+Serial in-process ``predict_batch`` (one packed forward per ensemble member)
+vs the :class:`~repro.runtime.pool.ForwardPool` sharding the ensemble's
+members across one worker process per usable core, clamped to 2..4, on
+shared-memory weights.  Each worker pins its BLAS to one thread, so the
+workers do not compete for cores with each other's GEMM threads.  Bitwise
+equality is asserted unconditionally; the >1x speedup contract is enforced
+only on non-CI machines with >= 4 usable cores (the same gate as the
+featurisation-pool benchmark).
 
-* **backend comparison** — the same ``predict_batch`` (one packed forward per
-  ensemble member) timed under the ``numpy`` reference backend and the
-  ``optimized`` backend (workspace pooling + fused kernels).  Bitwise
-  equality of the predictions is asserted unconditionally; the throughput
-  floor (optimized >= the committed baseline, i.e. at least numpy-parity) is
-  a wall-clock assertion gated by the shared CI policy.
-* **pooled forward** — serial in-process prediction vs the
-  :class:`~repro.runtime.pool.ForwardPool` sharding the ensemble's members
-  across one worker process per usable core, clamped to 2..4, on
-  shared-memory weights.  Each worker pins its BLAS to one thread, so the
-  workers do not compete for cores with each other's GEMM threads.  Bitwise
-  equality is asserted unconditionally; the >1x speedup contract is
-  enforced only on non-CI machines with >= 4 usable cores (the same gate as
-  the featurisation-pool benchmark).
-
-The tables land in ``latest_results.txt`` and feed the regression gate
-(``baseline.json``: ``backend.packed_forward.*``, ``runtime.forward_pool.*``).
+The table lands in ``latest_results.txt`` and feeds the regression gate
+(``baseline.json``: ``runtime.forward_pool.*``).
 """
 
 from __future__ import annotations
@@ -30,7 +22,6 @@ import pytest
 
 from conftest import print_table
 from gating import gate_reason, wall_clock_enforced
-from repro.backend import get_backend, use_backend
 from repro.flow.powergear import PowerGear, PowerGearConfig
 from repro.gnn.config import GNNConfig
 from repro.gnn.ensemble import EnsembleConfig
@@ -106,21 +97,11 @@ def test_backend_packed_forward(benchmark, bench_scale):
     num_members = len(model.ensemble.members)
 
     def run():
-        timings: dict[str, tuple[np.ndarray, float]] = {}
-        for name in ("numpy", "optimized"):
-            with use_backend(name):
-                model.predict_batch(queries)  # warm (workspaces, BLAS, caches)
-                start = time.perf_counter()
-                for _ in range(REPEATS):
-                    predictions = model.predict_batch(queries)
-                timings[name] = (predictions, time.perf_counter() - start)
-
-        # -- pooled forward: serial vs member-sharded worker processes -------
-        with use_backend("numpy"):
-            serial_start = time.perf_counter()
-            for _ in range(REPEATS):
-                serial_predictions = model.predict_batch(queries)
-            serial_seconds = time.perf_counter() - serial_start
+        model.predict_batch(queries)  # warm (BLAS, relation memos)
+        serial_start = time.perf_counter()
+        for _ in range(REPEATS):
+            serial_predictions = model.predict_batch(queries)
+        serial_seconds = time.perf_counter() - serial_start
 
         with ForwardPool(model, num_workers=FORWARD_WORKERS) as pool:
             pool.predict_batch(queries)  # warm: forks + shared-segment attach
@@ -131,7 +112,6 @@ def test_backend_packed_forward(benchmark, bench_scale):
             shared_bytes = pool.stats.shared_bytes
 
         return {
-            "timings": timings,
             "serial_predictions": serial_predictions,
             "serial_seconds": serial_seconds,
             "pooled_predictions": pooled_predictions,
@@ -142,37 +122,6 @@ def test_backend_packed_forward(benchmark, bench_scale):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
     designs = REPEATS * QUERY_DESIGNS
-    numpy_predictions, numpy_seconds = results["timings"]["numpy"]
-    optimized_predictions, optimized_seconds = results["timings"]["optimized"]
-    backend_speedup = numpy_seconds / optimized_seconds
-    workspace = get_backend("optimized").stats.as_dict()
-
-    backend_enforced = wall_clock_enforced()
-    print_table(
-        f"Packed mega-graph forward backends ({num_members} members, "
-        f"hidden {hidden}, {available_cpus()} usable cores; parity assert "
-        f"{gate_reason()})",
-        ["Backend", "Members", "Designs", "Seconds", "Designs/s", "Speedup"],
-        [
-            [
-                "numpy",
-                str(num_members),
-                str(designs),
-                f"{numpy_seconds:.3f}",
-                f"{designs / numpy_seconds:.1f}",
-                "1.0x",
-            ],
-            [
-                "optimized",
-                str(num_members),
-                str(designs),
-                f"{optimized_seconds:.3f}",
-                f"{designs / optimized_seconds:.1f}",
-                f"{backend_speedup:.2f}x",
-            ],
-        ],
-    )
-
     serial_seconds = results["serial_seconds"]
     pooled_seconds = results["pooled_seconds"]
     pool_speedup = serial_seconds / pooled_seconds
@@ -200,23 +149,11 @@ def test_backend_packed_forward(benchmark, bench_scale):
         ],
     )
 
-    # Correctness invariants: always enforced, bitwise.
-    assert optimized_predictions.tobytes() == numpy_predictions.tobytes(), (
-        "optimized backend diverged bitwise from the numpy reference"
-    )
+    # Correctness invariant: always enforced, bitwise.
     assert results["pooled_predictions"].tobytes() == results[
         "serial_predictions"
     ].tobytes(), "pooled forward diverged bitwise from serial prediction"
-    # The optimized backend's levers actually engaged.
-    assert workspace["forwards"] > 0
-    assert workspace["workspace_hits"] > 0
-    assert workspace["fused_linear"] > 0
 
-    if backend_enforced:
-        assert backend_speedup >= 0.95, (
-            f"optimized backend fell to {backend_speedup:.2f}x of the numpy "
-            "reference on the packed forward"
-        )
     if pool_enforced:
         assert pool_speedup > 1.0, (
             f"pooled forward is only {pool_speedup:.2f}x serial with "

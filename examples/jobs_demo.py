@@ -8,10 +8,8 @@ with the typed :class:`~repro.client.PowerClient`:
 2. ``GET /v1/jobs/{id}/updates`` — follow the per-iteration updates live
    (frontier growth, sampling progress) while the job runs;
 3. ``GET /v1/jobs/{id}`` — the final snapshot with the Pareto frontier;
-4. the deprecated blocking ``POST /v1/explore`` — same answer, plus the
-   ``Deprecation`` header pointing at the successor route;
-5. a second job, cancelled mid-flight;
-6. quota backpressure — submissions past the per-client limit fail with the
+4. a second job, cancelled mid-flight;
+5. quota backpressure — submissions past the per-client limit fail with the
    retryable ``429 job_quota`` envelope.
 
 Run with:  python examples/jobs_demo.py
@@ -30,7 +28,7 @@ from repro.gnn.trainer import TrainingConfig
 from repro.jobs import JobManager
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.gateway import AsyncPowerGateway
-from repro.runtime.http import GatewayHTTPServer, request_raw
+from repro.runtime.http import GatewayHTTPServer
 from repro.serve.service import PowerEstimationService
 
 DATASET = DatasetConfig(kernel_size=6, designs_per_kernel=10)
@@ -70,8 +68,7 @@ async def main() -> None:
         async with PowerClient(host, port, client_id="demo") as client:
             print("routes (from GET /v1/routes):")
             for route in await client.routes():
-                flag = "  [deprecated]" if route.get("deprecated") else ""
-                print(f"  {route['method']:<5} {route['path']}{flag}")
+                print(f"  {route['method']:<5} {route['path']}")
 
             print("\nsubmitting an exploration job for atax ...")
             job = await client.submit_explore("atax", budget=0.4)
@@ -92,15 +89,6 @@ async def main() -> None:
             print(
                 f"  finished: adrs={final['result']['adrs']:.4f}, "
                 f"{len(frontier)} frontier designs"
-            )
-
-            print("\nblocking POST /v1/explore (deprecated wrapper):")
-            status, headers, _ = await request_raw(
-                host, port, "POST", "/v1/explore", {"kernel": "atax", "budget": 0.4}
-            )
-            print(
-                f"  status={status} Deprecation={headers.get('deprecation')} "
-                f"Link={headers.get('link')}"
             )
 
             print("\ncancelling a job mid-flight:")

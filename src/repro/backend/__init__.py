@@ -1,52 +1,13 @@
-"""Pluggable compute backends for the packed mega-graph forward.
+"""The forward-path kernels of the packed mega-graph forward.
 
 The serving hot path — dense matmuls plus scatter-adds over relation edges —
-is expressed once against the :class:`ArrayBackend` protocol and routed
-through :func:`active_backend`, so the whole nn → gnn → serve stack switches
-kernels in one place:
-
-* ``numpy`` (:class:`NumpyBackend`) — the bitwise reference; exactly the
-  operations the pre-backend code ran;
-* ``optimized`` (:class:`OptimizedBackend`) — workspace-pooled, fusing, with
-  optional numba/torch acceleration and clean fallback; bitwise-identical to
-  the reference on the forward path.
-
-Selection: ``RuntimeConfig.backend`` (the service pins it per request via
-:func:`use_backend`), :func:`set_default_backend`, or the ``REPRO_BACKEND``
-environment variable; unset means ``numpy``.
+is expressed once as the methods of :class:`ArrayBackend` and reached
+through :func:`active_backend`, which returns the one process-wide
+instance.  Its expressions are the historical numpy ones, so every forward
+is bitwise reproducible; its :class:`BackendStats` tally the kernel calls
+made inside forward scopes (reported by ``runtime_stats()["backend"]``).
 """
 
-from repro.backend.base import (
-    BACKEND_ENV_VAR,
-    ArrayBackend,
-    BackendStats,
-    active_backend,
-    available_backends,
-    default_backend,
-    get_backend,
-    instantiated_backends,
-    register_backend,
-    resolve_backend_name,
-    set_default_backend,
-    use_backend,
-)
-from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.optimized import ACCEL_ENV_VAR, OptimizedBackend
+from repro.backend.base import ArrayBackend, BackendStats, active_backend
 
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "ACCEL_ENV_VAR",
-    "ArrayBackend",
-    "BackendStats",
-    "NumpyBackend",
-    "OptimizedBackend",
-    "active_backend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "instantiated_backends",
-    "register_backend",
-    "resolve_backend_name",
-    "set_default_backend",
-    "use_backend",
-]
+__all__ = ["ArrayBackend", "BackendStats", "active_backend"]

@@ -1,51 +1,26 @@
-"""Array-ops protocol of the compute-backend layer, plus backend selection.
+"""The forward-path kernels and their op tally.
 
 Every kernel on the packed mega-graph forward path — dense matmuls, the
 ``scatter_add`` over relation edges, gathers, activations, the fused
-affine/activation combinations — is expressed against :class:`ArrayBackend`.
+affine/activation combinations — is a method of :class:`ArrayBackend`.
 The autograd tensor (:mod:`repro.nn.tensor`), the GNN forward
 (:mod:`repro.gnn`) and the serving layer (:mod:`repro.serve`) all call
-:func:`active_backend` instead of numpy directly, so swapping the backend
-swaps the kernels everywhere at once.
+:func:`active_backend` instead of numpy directly, so the kernels live in
+one place and the per-forward op tally sees every call.
 
-Selection is layered (explicit wins over ambient):
-
-* :func:`use_backend` — a thread-local override for one ``with`` block (how
-  the service pins the backend its ``RuntimeConfig`` names);
-* :func:`set_default_backend` — the process-wide default;
-* ``REPRO_BACKEND`` — environment selection of the initial default
-  (``numpy`` when unset), resolved once on first use.
-
-Backends are registered by name in a module registry and instantiated as
-process-wide singletons, so per-backend counters (forwards, workspace reuse)
-aggregate globally and ``runtime_stats()`` can report them per backend name.
-
-Contract: every backend must be *bitwise-identical* to the ``numpy``
-reference on the forward path.  The reference implementations on this base
-class define the semantics; an override may only change *how* a value is
-computed (workspace reuse, fusion, an accelerator) — never which floats come
-out.  The equivalence property suite enforces this.
-
-One explicit exception exists: a backend constructed under an accelerator
-opt-in (``REPRO_BACKEND_ACCEL``, e.g. the ``f32`` tier of the ``optimized``
-backend) may advertise a non-``None`` :attr:`ArrayBackend.tolerance` —
-an ``(rtol, atol)`` pair relaxing bitwise identity to ``np.allclose`` against
-the reference at exactly those tolerances.  The equivalence suite asserts
-``tobytes`` equality when ``tolerance is None`` and the allclose contract
-otherwise, so the relaxation is always explicit, never silent.
+There is one kernel set and one process-wide instance of it.  Its
+expressions are the historical numpy ones, so every forward is bitwise
+reproducible by construction: pooled == serial, grouped == per-relation
+loop, cached == fresh.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-
-#: Environment variable naming the default backend (``numpy`` / ``optimized``).
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 # -------------------------------------------------------------------- stats
@@ -53,7 +28,7 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 @dataclass
 class BackendStats:
-    """Lifetime counters of one backend singleton.
+    """Lifetime counters of the kernel set.
 
     ``forwards`` counts packed forward passes (one per
     :meth:`ArrayBackend.forward_scope` entry); the op counters count kernel
@@ -67,12 +42,9 @@ class BackendStats:
     matmuls: int = 0
     scatter_adds: int = 0
     gathers: int = 0
-    fused_linear: int = 0
     fused_add_relu: int = 0
     grouped_matmuls: int = 0
     grouped_scatter_adds: int = 0
-    workspace_hits: int = 0
-    workspace_misses: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -82,12 +54,9 @@ class BackendStats:
         "matmuls",
         "scatter_adds",
         "gathers",
-        "fused_linear",
         "fused_add_relu",
         "grouped_matmuls",
         "grouped_scatter_adds",
-        "workspace_hits",
-        "workspace_misses",
     )
 
     def merge(self, tally: dict[str, int]) -> None:
@@ -100,48 +69,16 @@ class BackendStats:
             return {name: getattr(self, name) for name in self._COUNTERS}
 
 
-class _ForwardScope:
-    """Per-forward bookkeeping: an op tally plus the workspace arena.
-
-    ``buffers`` holds every array the backend handed out during the scoped
-    forward; pooling backends recycle them at scope exit (the whole arena is
-    live for the forward's duration, nothing inside it ever aliases early).
-    """
-
-    __slots__ = ("tally", "buffers")
-
-    def __init__(self) -> None:
-        self.tally: dict[str, int] = {"forwards": 1}
-        self.buffers: list[np.ndarray] = []
-
-    def count(self, name: str, delta: int = 1) -> None:
-        self.tally[name] = self.tally.get(name, 0) + delta
-
-
 # ------------------------------------------------------------------ backend
 
 
 class ArrayBackend:
-    """Reference semantics of every forward-path kernel (numpy expressions).
+    """The forward-path kernels (numpy expressions).
 
     The expressions here are *the* definition of bitwise behaviour: they are
-    exactly the operations the pre-backend code ran, so the ``numpy`` backend
-    (which inherits them unchanged) preserves historical outputs bit for bit,
-    and any override is checked against them by the equivalence suite.
+    exactly the operations the pre-backend code ran, so a model served
+    through them preserves historical outputs bit for bit.
     """
-
-    #: Registry name; subclasses must override.
-    name: str = "base"
-    #: Which optional accelerator the backend bound (``"none"`` / ``"numba"``
-    #: / ``"torch"`` / ``"f32"``); informational, surfaced through
-    #: ``runtime_stats()``.
-    accelerator: str = "none"
-    #: Numerical contract of the backend: ``None`` means bitwise-identical to
-    #: the reference (the default, and the only permitted value outside an
-    #: explicit ``REPRO_BACKEND_ACCEL`` opt-in); an ``(rtol, atol)`` pair
-    #: relaxes the contract to ``np.allclose`` at those tolerances, asserted
-    #: by the equivalence suite.
-    tolerance: tuple[float, float] | None = None
 
     def __init__(self) -> None:
         self.stats = BackendStats()
@@ -149,46 +86,27 @@ class ArrayBackend:
 
     # ------------------------------------------------------------- lifecycle
 
-    def _scope(self) -> _ForwardScope | None:
-        return getattr(self._tls, "scope", None)
-
     @contextlib.contextmanager
     def forward_scope(self):
         """Delimit one packed forward pass (inference only, no autograd).
 
-        Inside the scope the backend may serve allocations from a reusable
-        workspace arena; every buffer handed out stays valid until the scope
-        exits, and callers must copy anything that outlives the scope (the
-        model's ``predict`` / ``predict_prepared`` do).  Scopes nest (an
-        ensemble loop inside an outer scope); buffers recycle when the scope
-        that allocated them exits.
+        Kernel calls inside the scope are tallied locally and merged into
+        :attr:`stats` once on exit.  Scopes nest (an ensemble loop inside an
+        outer scope); each one counts as a forward.
         """
-        previous = self._scope()
-        scope = _ForwardScope()
-        self._tls.scope = scope
+        previous = getattr(self._tls, "tally", None)
+        tally: dict[str, int] = {"forwards": 1}
+        self._tls.tally = tally
         try:
-            yield scope
+            yield
         finally:
-            self._tls.scope = previous
-            self._recycle(scope)
-            self.stats.merge(scope.tally)
+            self._tls.tally = previous
+            self.stats.merge(tally)
 
-    def _recycle(self, scope: _ForwardScope) -> None:
-        """Return a finished scope's buffers to the pool (no-op by default)."""
-
-    def _count(self, name: str, delta: int = 1) -> None:
-        scope = self._scope()
-        if scope is not None:
-            scope.count(name, delta)
-
-    # ----------------------------------------------------------- allocation
-
-    def empty(self, shape, dtype=np.float64) -> np.ndarray:
-        """An uninitialised buffer (workspace-pooled inside a forward scope)."""
-        return np.empty(shape, dtype=dtype)
-
-    def zeros(self, shape, dtype=np.float64) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
+    def _count(self, name: str) -> None:
+        tally = getattr(self._tls, "tally", None)
+        if tally is not None:
+            tally[name] = tally.get(name, 0) + 1
 
     # ------------------------------------------------------------- kernels
 
@@ -199,7 +117,7 @@ class ArrayBackend:
     def linear(
         self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None
     ) -> np.ndarray:
-        """Fused affine ``x @ weight + bias`` (one kernel in fast backends)."""
+        """Fused affine ``x @ weight + bias``."""
         self._count("matmuls")
         out = x @ weight
         if bias is not None:
@@ -320,22 +238,6 @@ class ArrayBackend:
             return np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
         return aggregated
 
-    def scatter_add_relu(
-        self, values: np.ndarray, index: np.ndarray, num_segments: int
-    ) -> np.ndarray:
-        """Fused ``relu(scatter_add(...))`` for convs whose aggregation feeds
-        straight into the activation (safe: ReLU is elementwise on the summed
-        segments, so fusing cannot change which values are added, only spare
-        the intermediate)."""
-        out = self.scatter_add(values, index, num_segments)
-        return out * (out > 0)
-
-    def segment_sum(
-        self, values: np.ndarray, index: np.ndarray, num_segments: int
-    ) -> np.ndarray:
-        """Alias of :meth:`scatter_add` under its graph-pooling name."""
-        return self.scatter_add(values, index, num_segments)
-
     def segment_mean(
         self, values: np.ndarray, index: np.ndarray, num_segments: int
     ) -> np.ndarray:
@@ -356,103 +258,9 @@ class ArrayBackend:
         )
 
 
-# ----------------------------------------------------------------- registry
-
-_REGISTRY: dict[str, type[ArrayBackend]] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-_DEFAULT: ArrayBackend | None = None
-_OVERRIDES = threading.local()
-
-
-def register_backend(cls: type[ArrayBackend]) -> type[ArrayBackend]:
-    """Register a backend class under its ``name`` (also usable as a decorator)."""
-    if not cls.name or cls.name == "base":
-        raise ValueError("backend classes must define a unique name")
-    with _REGISTRY_LOCK:
-        _REGISTRY[cls.name] = cls
-    return cls
-
-
-def available_backends() -> tuple[str, ...]:
-    with _REGISTRY_LOCK:
-        return tuple(sorted(_REGISTRY))
-
-
-def instantiated_backends() -> dict[str, ArrayBackend]:
-    """Snapshot of the backend singletons this process actually constructed.
-
-    Metrics surfaces report counters from this instead of instantiating
-    every registered backend: constructing a backend just to read its zeros
-    would run its accelerator probe (a ``numba``/``torch`` import) inside a
-    metrics scrape.
-    """
-    with _REGISTRY_LOCK:
-        return dict(_INSTANCES)
-
-
-def get_backend(name: str) -> ArrayBackend:
-    """The process-wide singleton instance of the named backend."""
-    with _REGISTRY_LOCK:
-        instance = _INSTANCES.get(name)
-        if instance is None:
-            cls = _REGISTRY.get(name)
-            if cls is None:
-                raise ValueError(
-                    f"unknown backend {name!r} (available: {', '.join(sorted(_REGISTRY))})"
-                )
-            instance = _INSTANCES[name] = cls()
-    return instance
-
-
-def resolve_backend_name(name: str | None = None) -> str:
-    """Explicit name, else ``$REPRO_BACKEND``, else ``numpy`` — validated."""
-    resolved = name or os.environ.get(BACKEND_ENV_VAR) or "numpy"
-    with _REGISTRY_LOCK:
-        known = resolved in _REGISTRY
-    if not known:
-        raise ValueError(
-            f"unknown backend {resolved!r} (available: {', '.join(available_backends())})"
-        )
-    return resolved
-
-
-def default_backend() -> ArrayBackend:
-    """The process default (``$REPRO_BACKEND``-selected on first use)."""
-    global _DEFAULT
-    backend = _DEFAULT
-    if backend is None:
-        backend = _DEFAULT = get_backend(resolve_backend_name())
-    return backend
-
-
-def set_default_backend(backend: ArrayBackend | str | None) -> None:
-    """Set (or with ``None`` reset to env-resolved) the process default."""
-    global _DEFAULT
-    if isinstance(backend, str):
-        backend = get_backend(resolve_backend_name(backend))
-    _DEFAULT = backend
+_BACKEND = ArrayBackend()
 
 
 def active_backend() -> ArrayBackend:
-    """The backend the forward path routes through right now, this thread."""
-    stack = getattr(_OVERRIDES, "stack", None)
-    if stack:
-        return stack[-1]
-    return default_backend()
-
-
-@contextlib.contextmanager
-def use_backend(backend: ArrayBackend | str):
-    """Thread-local backend override for one ``with`` block (re-entrant)."""
-    if isinstance(backend, str):
-        backend = get_backend(resolve_backend_name(backend))
-    stack = getattr(_OVERRIDES, "stack", None)
-    if stack is None:
-        stack = _OVERRIDES.stack = []
-    stack.append(backend)
-    try:
-        yield backend
-    finally:
-        stack.pop()
+    """The process-wide kernel set every forward routes through."""
+    return _BACKEND

@@ -189,8 +189,7 @@ class PowerClient:
         return await self._call("POST", f"/v1/jobs/{job_id}/cancel", {})
 
     async def explore(self, kernel: str, budget: float | None = None) -> dict:
-        """Submit + wait + unwrap: the convenience the deprecated blocking
-        ``POST /v1/explore`` used to be, built on the jobs API."""
+        """Submit + wait + unwrap: a blocking explore built on the jobs API."""
         job = await self.submit_explore(kernel, budget=budget)
         snapshot = await self.wait(job["job_id"])
         if snapshot["state"] != "succeeded":

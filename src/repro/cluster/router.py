@@ -83,7 +83,7 @@ class ClusterConfig:
     #: Consecutive failed probes (or proxy-level connection failures) before
     #: a replica is ejected from the ring and respawned.
     fail_threshold: int = 3
-    #: End-to-end timeout of one proxied exchange (explore calls run long).
+    #: End-to-end timeout of one proxied exchange (job long-polls run long).
     request_timeout_s: float = 300.0
     #: Capacity of the replica lifecycle event ring.
     event_ring: int = 512
@@ -250,10 +250,7 @@ class ClusterRouter(AsyncJSONHTTPServer):
             raise HTTPError(429, "backpressure", str(error)) from error
         except GatewayClosedError as error:
             raise HTTPError(503, "closed", str(error)) from error
-        status, response = payload
-        if route.deprecated:
-            response = self._deprecate(response, route.successor)
-        return status, response
+        return payload
 
     def _account(self, method, path, status, started, request_id) -> None:
         if method is None:
@@ -477,21 +474,6 @@ class ClusterRouter(AsyncJSONHTTPServer):
             for position, index in enumerate(indices):
                 responses[index] = sub[position]
         return 200, {"responses": responses}
-
-    async def _explore(
-        self, body: bytes, request_id: str, params: dict
-    ) -> tuple[int, RawResponse]:
-        parsed = self._parse_body(body)
-        kernel = _require(parsed, "kernel", str, "body")
-        self.stats.requests += 1
-        self._admit(1)
-        try:
-            status, data = await self._forward(
-                kernel, "/v1/explore", body, cost=1, request_id=request_id
-            )
-        finally:
-            self._release(1)
-        return status, RawResponse("application/json", data)
 
     # ------------------------------------------------------------------- jobs
     #

@@ -46,9 +46,8 @@ class RelationGroups:
     historical per-relation loop).  ``offsets`` is the ``(R + 1,)`` cumulative
     relation histogram delimiting each relation's contiguous block, and
     ``destinations`` is the destination node id of each edge *in sorted
-    order*.  All three arrays are identity-stable for the batch's lifetime,
-    so identity-keyed backend caches (the optimized backend's grouped CSR
-    operators) hit across layers and ensemble members.
+    order*.  The layout is built once per batch and shared by every layer
+    and ensemble member that runs on it.
     """
 
     order: np.ndarray
@@ -84,9 +83,6 @@ class GraphBatch:
     _relation_groups: dict[int, RelationGroups] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _pool_offsets: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @staticmethod
     def from_graph(
@@ -95,9 +91,9 @@ class GraphBatch:
         """Wrap a (possibly packed) graph; optionally precompute bookkeeping.
 
         With ``num_relations`` given, the relation layout (grouped order,
-        per-relation edge ids and destinations, pooling offsets) is
-        materialised eagerly, so the returned batch can be shared across
-        threads or serialised structurally without lazy-init races.
+        per-relation edge ids and destinations) is materialised eagerly, so
+        the returned batch can be shared across threads or serialised
+        structurally without lazy-init races.
         """
         metadata = graph.metadata
         if metadata.ndim == 1:
@@ -136,10 +132,7 @@ class GraphBatch:
         """Destination node ids of one relation's edges, memoised like the ids.
 
         Every convolution layer of every ensemble member scatter-adds into
-        the same destinations, so beyond saving the re-gather this keeps the
-        index array *identity-stable* for the batch's lifetime — which is
-        what lets identity-keyed backend caches (the optimized backend's
-        scatter flat-index cache) hit across layers and members.
+        the same destinations, so the gather runs once per batch.
         """
         key = (relation, num_relations)
         destinations = self._relation_destinations.get(key)
@@ -179,18 +172,6 @@ class GraphBatch:
             self._relation_groups[num_relations] = groups
         return groups
 
-    @property
-    def pool_offsets(self) -> np.ndarray:
-        """Single-group offsets ``[0, num_nodes]`` for grouped sum-pooling.
-
-        Identity-stable like the relation bookkeeping, so the backend's
-        grouped-scatter operator cache is hit by every layer and member that
-        pools this batch.
-        """
-        if self._pool_offsets is None:
-            self._pool_offsets = np.array([0, self.num_nodes], dtype=np.int64)
-        return self._pool_offsets
-
     def precompute(self, num_relations: int) -> "GraphBatch":
         """Eagerly materialise all relation bookkeeping (thread-safe reads).
 
@@ -198,7 +179,6 @@ class GraphBatch:
         concurrent readers only ever *read* the memo dicts.
         """
         self.relation_groups(num_relations)
-        self.pool_offsets
         for relation in range(num_relations):
             self.relation_edge_ids(relation, num_relations)
             self.relation_destinations(relation, num_relations)
@@ -283,31 +263,12 @@ class PowerGNN(Module):
         :meth:`prepare_graph` + :meth:`GraphBatch.from_graph` and amortise the
         batching and relation-bookkeeping cost.
         """
-        backend = active_backend()
-        grouped = grouped_forward_enabled()
         embeddings = batch.node_features
         pooled_layers: list[Tensor] = []
         for conv in self.convs:
             embeddings = conv(embeddings, batch)
             embeddings = self.dropout(embeddings)
-            if grouped and not embeddings.requires_grad:
-                # Inference-only grouped pooling: one cached sparse operator
-                # per batch instead of a fresh scatter per layer and member.
-                # Bitwise-identical to ``segment_sum`` (single group).
-                pooled_layers.append(
-                    Tensor(
-                        backend.scatter_add_grouped(
-                            embeddings.data,
-                            batch.batch,
-                            batch.pool_offsets,
-                            batch.num_graphs,
-                        )
-                    )
-                )
-            else:
-                pooled_layers.append(
-                    embeddings.segment_sum(batch.batch, batch.num_graphs)
-                )
+            pooled_layers.append(embeddings.segment_sum(batch.batch, batch.num_graphs))
         # Eq. 6: sum the pooled embeddings of every convolution layer.
         graph_embedding = pooled_layers[0]
         for pooled in pooled_layers[1:]:
@@ -340,13 +301,8 @@ class PowerGNN(Module):
         with no_grad():
             if batch_size is None:
                 for graph in graphs:
-                    # One workspace arena per forward pass; the arena's
-                    # buffers recycle at scope exit, so the result is copied
-                    # out (np.array) before the scope closes.
                     with backend.forward_scope():
-                        outputs.append(
-                            np.array(self.forward(graph).numpy()).reshape(-1)
-                        )
+                        outputs.append(self.forward(graph).numpy().reshape(-1))
             else:
                 if batch_size < 1:
                     raise ValueError("batch_size must be >= 1")
@@ -354,22 +310,19 @@ class PowerGNN(Module):
                     packed = HeteroGraph.pack(graphs[start : start + batch_size])
                     batch = GraphBatch.from_graph(self.prepare_graph(packed))
                     with backend.forward_scope():
-                        outputs.append(
-                            np.array(self.forward_batch(batch).numpy()).reshape(-1)
-                        )
+                        outputs.append(self.forward_batch(batch).numpy().reshape(-1))
         self.train()
         return np.concatenate(outputs) if outputs else np.zeros(0)
 
     def predict_prepared(self, batch: GraphBatch) -> np.ndarray:
         """Predictions for an already prepared batch (no autograd, eval mode).
 
-        Runs inside one backend forward scope: pooling backends serve the
-        whole pass from reused workspaces, so the returned vector is copied
-        out of the arena before the scope recycles it.
+        Runs inside one forward scope, so the pass counts once in the
+        kernel tally.
         """
         self.eval()
         with no_grad(), active_backend().forward_scope():
-            predictions = np.array(self.forward_batch(batch).numpy()).reshape(-1)
+            predictions = self.forward_batch(batch).numpy().reshape(-1)
         self.train()
         return predictions
 

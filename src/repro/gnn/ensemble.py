@@ -137,7 +137,7 @@ class EnsembleRegressor:
 
         Runs :func:`stack_member_predictions` — the same shard unit the
         pooled forward's workers execute per member slice — over the full
-        ensemble.  Every forward routes through the active compute backend.
+        ensemble.
         """
         if not self.members:
             raise RuntimeError("the ensemble has not been fitted")

@@ -80,9 +80,8 @@ class HECGNNConv(Module):
 
         The cache key is the identity of every member array, and the cached
         entry pins those arrays (so a freed array's id cannot be reused while
-        the key still references it).  Identity-stability of the returned
-        stack is what lets the f32 accelerator tier reuse its cast of the
-        weights across layers, batches and ensemble members.
+        the key still references it).  The stack is built once per weight
+        set instead of once per forward.
         """
         key = tuple(id(parameter.data) for parameter in self.relation_weights)
         cached = self._stacked_weights
@@ -97,12 +96,11 @@ class HECGNNConv(Module):
     ) -> Tensor:
         """One-GEMM inference: gather → grouped matmul → grouped scatter-add.
 
-        Replaces the per-relation Python loop with three backend calls over
+        Replaces the per-relation Python loop with three kernel calls over
         the batch's relation-sorted edge layout.  The layout's (relation,
         destination, edge-id) sort keeps each destination's accumulation
         chain in original edge order, so the result is bitwise-identical to
-        the loop on bitwise backends; accelerator-tier backends (f32) may
-        instead match within their advertised tolerance.
+        the loop.
         """
         backend = active_backend()
         groups = batch.relation_groups(relations)
@@ -116,7 +114,7 @@ class HECGNNConv(Module):
         return updated.add_relu(Tensor(aggregated))
 
     def forward(self, node_embeddings: Tensor, batch: GraphBatch) -> Tensor:
-        # Fused affine through the active compute backend (see repro.backend).
+        # Fused affine kernel at inference (see repro.backend).
         updated = node_embeddings.linear(self.node_weight, self.bias)
         if batch.edge_index.shape[1] == 0:
             return updated.relu()
@@ -155,7 +153,7 @@ class HECGNNConv(Module):
 
         if aggregated is not None:
             # Fused add+ReLU: the update/aggregation sum feeds straight into
-            # the activation, so the backend can run it as one kernel.
+            # the activation, so inference runs it as one kernel.
             return updated.add_relu(aggregated)
         return updated.relu()
 

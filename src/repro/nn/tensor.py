@@ -19,12 +19,9 @@ A module-level ``no_grad`` context manager disables graph recording during
 inference.
 
 Forward-path data kernels (matmul, add/mul, ReLU and the fused ops, gather,
-scatter-add) route through the active compute backend
-(:func:`repro.backend.active_backend`), so the same model code runs on the
-``numpy`` reference backend or the workspace-pooled ``optimized`` one.  The
-backward closures stay plain numpy: gradients are a training-only path and
-the backends are defined (and tested) to be bitwise-identical on the forward
-kernels, so training results do not depend on the selection either way.
+scatter-add) route through the kernel set of :mod:`repro.backend`
+(:func:`repro.backend.active_backend`), whose forward scopes tally them.
+The backward closures stay plain numpy: gradients are a training-only path.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ def grad_enabled() -> bool:
     """Whether operations are currently recorded on the autograd tape.
 
     Inference-only fast paths (the grouped-relation forward, the fused
-    backend kernels) key off this: they have no backward implementation, so
+    kernels) key off this: they have no backward implementation, so
     they must only replace the composed ops when nothing records gradients.
     """
     return _GRAD_ENABLED
@@ -66,8 +63,8 @@ def scatter_add_rows(
 ) -> np.ndarray:
     """Sum rows of ``values`` into ``num_segments`` buckets given by ``index``.
 
-    Delegates to the active compute backend's ``scatter_add`` kernel; the
-    reference semantics (``np.bincount``-based, bitwise-equal to
+    Delegates to the ``scatter_add`` kernel of :mod:`repro.backend`; its
+    semantics (``np.bincount``-based, bitwise-equal to
     ``np.add.at`` because both add contributions in row order) are defined in
     :class:`repro.backend.base.ArrayBackend`.
     """
@@ -101,15 +98,8 @@ class Tensor:
         _backward: Callable[[np.ndarray], None] | None = None,
         name: str = "",
     ) -> None:
-        # float64 is the canonical dtype; float32 passes through unchanged so
-        # an accelerator-tier backend (``REPRO_BACKEND_ACCEL=f32``) can flow
-        # single precision through the whole inference forward.  Training
-        # never sees float32: parameters and inputs are float64 and the
-        # backends only emit float32 inside inference forward scopes.
-        array = np.asarray(data)
-        if array.dtype != np.float32:
-            array = np.asarray(array, dtype=np.float64)
-        self.data = array
+        # float64 is the one dtype: inputs of any other dtype are cast.
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents = _parents if self.requires_grad or _parents else ()

@@ -80,9 +80,12 @@ class Observability:
     instrument                                what lands in it
     ========================================  =====================================
     ``repro_request_seconds{endpoint}``       whole-call latency per endpoint
-    ``repro_stage_seconds{stage}``            featurise / predict / cache_get /
-                                              cache_put / batch_flush /
-                                              pool_dispatch stage latencies
+    ``repro_stage_seconds{stage}``            featurise / predict /
+                                              cache_memory / cache_disk /
+                                              cache_sync (the disk tier's
+                                              per-batch index write) /
+                                              batch_flush / pool_dispatch
+                                              stage latencies
     ``repro_cache_requests_total{...}``       hit/miss per cache kind and tier
     ``repro_coalesced_batch_size``            micro-batch sizes at flush
     ``repro_gateway_designs_total{outcome}``  admitted / rejected_backpressure /

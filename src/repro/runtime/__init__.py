@@ -31,7 +31,7 @@ Two front-end modules layer on top (PR 3):
   thousands of awaitable requests onto the thread-based coalescer;
 * :mod:`repro.runtime.http` — a stdlib-only asyncio HTTP server with JSON
   endpoints over the gateway (``/v1/estimate``, ``/v1/estimate_many``,
-  ``/v1/explore``, ``/v1/models``, ``/healthz``, ``/metrics``).
+  ``/v1/jobs/explore``, ``/v1/models``, ``/healthz``, ``/metrics``).
 
 The core runtime depends only on the featurisation pipeline and the graph
 containers — never on :mod:`repro.serve` — so the service can layer on top of

@@ -1,8 +1,7 @@
 """Configuration of the parallel serving runtime.
 
 One frozen dataclass carries every knob of the runtime components —
-the compute backend of the packed forward (:mod:`repro.backend`), the
-featurisation :class:`~repro.runtime.pool.WorkerPool`, the pooled-forward
+the featurisation :class:`~repro.runtime.pool.WorkerPool`, the pooled-forward
 :class:`~repro.runtime.pool.ForwardPool`, the
 :class:`~repro.runtime.microbatch.MicroBatcher` request coalescer and the
 :class:`~repro.runtime.cache.PersistentCache` disk tier — so
@@ -21,21 +20,6 @@ from pathlib import Path
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Knobs of the parallel serving runtime (all off by default)."""
-
-    #: Compute backend of the packed mega-graph forward (``"numpy"`` /
-    #: ``"optimized"``); ``None`` defers to ``$REPRO_BACKEND`` and finally the
-    #: ``numpy`` reference.  In their default (auto) configuration the
-    #: shipped backends are bitwise-identical on the forward path, so the
-    #: selection only changes speed, never predictions — EXCEPT under the
-    #: explicit accelerator-tier opt-ins: ``REPRO_BACKEND_ACCEL=torch``
-    #: trades the guarantee for torch GEMMs (bit-identity then depends on
-    #: numpy and torch linking the same BLAS) and
-    #: ``REPRO_BACKEND_ACCEL=f32`` runs inference single-precision within
-    #: the backend's advertised ``tolerance`` (see
-    #: :mod:`repro.backend.optimized`).  Don't mix those opt-ins with a
-    #: persistent prediction cache written under a different backend
-    #: configuration.
-    backend: str | None = None
 
     #: Number of featurisation worker processes; 0 or 1 keeps featurisation
     #: serial in the service process.
@@ -130,10 +114,6 @@ class RuntimeConfig:
     deploy_artifact_cache_entries: int = 4
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            from repro.backend import resolve_backend_name
-
-            resolve_backend_name(self.backend)  # raises on unknown names
         if self.num_workers < 0:
             raise ValueError("num_workers must be >= 0")
         if self.pool_max_restarts < 0:

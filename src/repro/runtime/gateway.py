@@ -5,7 +5,7 @@ coalesce in the :class:`~repro.runtime.microbatch.MicroBatcher` only if they
 arrive on concurrent *threads*, and a blocked caller holds its thread for the
 whole batch window.  A DSE driver holding thousands of in-flight estimates
 would need thousands of threads.  :class:`AsyncPowerGateway` bridges the gap:
-it exposes ``estimate`` / ``estimate_many`` / ``explore`` as coroutines, and
+it exposes ``estimate`` / ``estimate_many`` and the jobs API as coroutines, and
 carries each accepted call over a bounded thread pool onto the synchronous
 :class:`~repro.serve.service.PowerEstimationService`, so one event loop can
 hold arbitrarily many awaitable requests while a fixed number of bridge
@@ -92,7 +92,7 @@ class GatewayStats:
 
 
 class AsyncPowerGateway:
-    """Awaitable ``estimate`` / ``estimate_many`` / ``explore`` over a service.
+    """Awaitable ``estimate`` / ``estimate_many`` and jobs over a service.
 
     Single-event-loop object: submissions must come from one running loop
     (the admission counter relies on the loop's serialised callbacks instead
@@ -159,12 +159,6 @@ class AsyncPowerGateway:
         requests = list(requests)
         return await self._submit(
             self.service.estimate_many, requests, cost=max(len(requests), 1)
-        )
-
-    async def explore(self, kernel: str, budget: float | None = None, **kwargs):
-        """Awaitable design-space exploration (one admission slot per call)."""
-        return await self._submit(
-            partial(self.service.explore, kernel, budget, **kwargs), cost=1
         )
 
     def runtime_stats(self) -> dict:
@@ -237,9 +231,6 @@ class AsyncPowerGateway:
         return await self._job_call(
             self._require_jobs().wait_updates, job_id, since, timeout
         )
-
-    async def wait_job(self, job_id: str, timeout: float | None = None) -> dict:
-        return await self._job_call(self._require_jobs().wait, job_id, timeout)
 
     async def cancel_job(self, job_id: str) -> dict:
         return await self._job_call(self._require_jobs().cancel, job_id)

@@ -10,10 +10,6 @@ method    path                       body / response
 POST      ``/v1/estimate``           one design point → one estimate
 POST      ``/v1/estimate_many``      ``{"requests": [...]}`` → ``{"responses":
                                      [...]}``
-POST      ``/v1/explore``            **deprecated** blocking explore (answers
-                                     with a ``Deprecation`` header; internally
-                                     a submit-and-wait over the jobs tier when
-                                     one is mounted)
 POST      ``/v1/jobs/explore``       submit an exploration job → ``202`` with
                                      the ``queued`` job snapshot
 GET       ``/v1/jobs``               the job table (``?client=`` to filter)
@@ -100,9 +96,6 @@ from repro.runtime.errors import (
 )
 from repro.runtime.gateway import AsyncPowerGateway
 from repro.runtime.routes import GATEWAY_ROUTES, RouteTable
-from repro.serve.wire import explore_report_to_json  # noqa: F401 - re-export;
-# the blocking /v1/explore response and a finished job's checkpointed result
-# are one wire shape, defined once in repro.serve.wire.
 
 #: Largest accepted request body; a batch of a few thousand design points is
 #: well under this, anything bigger is a client bug.
@@ -158,7 +151,6 @@ class RawResponse:
 
     content_type: str
     body: bytes
-    headers: dict[str, str] | None = None
 
 
 @dataclass
@@ -173,7 +165,6 @@ class StreamingResponse:
 
     content_type: str
     chunks: AsyncIterator[bytes]
-    headers: dict[str, str] | None = None
 
 
 class _ConnectionClosed(Exception):
@@ -576,10 +567,6 @@ class AsyncJSONHTTPServer:
         request_id_header = (
             f"X-Request-ID: {request_id}\r\n" if request_id is not None else ""
         )
-        extra_headers = getattr(payload, "headers", None) or {}
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in extra_headers.items()
-        )
         reason = _STATUS_REASONS.get(status, "Unknown")
         if isinstance(payload, StreamingResponse):
             head = (
@@ -587,7 +574,6 @@ class AsyncJSONHTTPServer:
                 f"Content-Type: {payload.content_type}\r\n"
                 "Transfer-Encoding: chunked\r\n"
                 f"{request_id_header}"
-                f"{extra}"
                 "Connection: close\r\n"
                 "\r\n"
             )
@@ -618,7 +604,6 @@ class AsyncJSONHTTPServer:
                 status = 500
                 reason = _STATUS_REASONS[500]
                 keep_alive = False
-                extra = ""
                 body = json.dumps(
                     error_payload(500, "internal", "unserialisable response payload")
                 ).encode()
@@ -628,28 +613,12 @@ class AsyncJSONHTTPServer:
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
             f"{request_id_header}"
-            f"{extra}"
             f"Connection: {connection}\r\n"
             "\r\n"
         )
         writer.write(head.encode("latin-1") + body)
         await writer.drain()
         return keep_alive
-
-    @staticmethod
-    def _deprecate(payload, successor: str | None):
-        """Stamp the RFC-style ``Deprecation`` + successor ``Link`` headers."""
-        headers = {"Deprecation": "true"}
-        if successor:
-            headers["Link"] = f'<{successor}>; rel="successor-version"'
-        if isinstance(payload, (RawResponse, StreamingResponse)):
-            payload.headers = {**(payload.headers or {}), **headers}
-            return payload
-        return RawResponse(
-            "application/json",
-            json.dumps(payload, allow_nan=False).encode(),
-            headers=headers,
-        )
 
     @staticmethod
     def _int_param(query: dict, name: str, default: int, minimum: int = 1) -> int:
@@ -807,8 +776,6 @@ class GatewayHTTPServer(AsyncJSONHTTPServer):
             status, payload = await handler(parsed, headers, params)
         else:
             status, payload = await handler(query, headers, params)
-        if route.deprecated:
-            payload = self._deprecate(payload, route.successor)
         return status, payload
 
     async def _call_gateway(self, coroutine):
@@ -856,51 +823,6 @@ class GatewayHTTPServer(AsyncJSONHTTPServer):
         requests = [estimate_request_from_json(item) for item in raw]
         responses = await self._call_gateway(self.gateway.estimate_many(requests))
         return 200, {"responses": [response_to_json(r) for r in responses]}
-
-    @staticmethod
-    def _explore_params(body: dict) -> tuple[str, float | None]:
-        kernel = _require(body, "kernel", str, "body")
-        unknown = set(body) - {"kernel", "budget", "client"}
-        if unknown:
-            raise HTTPError(400, "bad_request", f"unknown explore keys {sorted(unknown)}")
-        budget = body.get("budget")
-        if budget is not None and (
-            isinstance(budget, bool) or not isinstance(budget, (int, float))
-        ):
-            raise HTTPError(400, "bad_request", "budget must be a number")
-        return kernel, float(budget) if budget is not None else None
-
-    async def _explore(self, body: dict, headers: dict, params: dict) -> tuple[int, dict]:
-        """The deprecated blocking explore: a submit-and-wait over the jobs
-        tier when one is mounted (identical results — the job path drives the
-        same incremental explorer the direct call does), or the direct
-        gateway call without one.  Either way the response carries the
-        ``Deprecation`` header pointing at ``POST /v1/jobs/explore``."""
-        kernel, budget = self._explore_params(body)
-        if self.gateway.jobs is None:
-            report = await self._call_gateway(self.gateway.explore(kernel, budget))
-            return 200, explore_report_to_json(report)
-        snapshot = await self._call_gateway(
-            self.gateway.submit_job(
-                kernel, budget=budget, client=self._client_id(headers, body)
-            )
-        )
-        job_id = snapshot["job_id"]
-        while snapshot["state"] not in ("succeeded", "failed", "cancelled"):
-            if self._closing or self.gateway.closed:
-                raise HTTPError(503, "closed", "server closed mid-explore")
-            snapshot = await self._call_gateway(
-                self.gateway.wait_job(job_id, timeout=1.0)
-            )
-        if snapshot["state"] == "succeeded":
-            return 200, snapshot["result"]
-        if snapshot["state"] == "cancelled":
-            raise HTTPError(
-                503, "job_cancelled", f"blocking explore job {job_id} was cancelled"
-            )
-        raise HTTPError(
-            500, "job_failed", snapshot.get("error") or f"job {job_id} failed"
-        )
 
     # ------------------------------------------------------------------- jobs
 

@@ -1,8 +1,7 @@
 """Multi-process worker pools with deterministic merges.
 
 Two pools live here, both built on the same contiguous-shard decomposition
-(:func:`shard_evenly` — canonical in this module, re-exported through
-``repro.runtime`` and, for the serving layer, ``repro.serve.batching``):
+(:func:`shard_evenly`, re-exported through ``repro.runtime``):
 
 * :class:`WorkerPool` shards **featurisation** — HLS lowering,
   scheduling/binding, activity simulation, graph construction, labelling;
@@ -333,7 +332,6 @@ def forward_worker_init(
     model_type: type,
     member_configs: tuple,
     dims: tuple[int, int, int],
-    backend: str,
 ) -> None:
     """Process-pool initializer: attach the segment, rebuild the members.
 
@@ -344,15 +342,12 @@ def forward_worker_init(
     ``parameters()`` traversal order.
     """
     global _FORWARD_MODELS, _FORWARD_SHM
-    from repro.backend import set_default_backend
-
     # The pool runs one worker per core: left at its default, OpenBLAS would
     # start a thread per core in every worker and oversubscribe the machine.
     set_threads = _openblas_function("set_num_threads")
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
-    set_default_backend(backend)
     shm, views = attach_parameter_block(spec)
     node_dim, edge_dim, meta_dim = dims
     models = []
@@ -396,10 +391,9 @@ def run_forward_task(task: ForwardTask) -> np.ndarray:
     The chunk's bundle is attached for this task only.  The batch built over
     its views dies when the forward returns (it holds no reference cycle),
     so the views are gone before the mapping closes and no mapping outlives
-    its task.  The forward is deterministic numpy (whatever backend the
-    worker pinned, the kernels are bitwise-identical by contract), so the
-    returned ``(shard_members, num_graphs)`` block equals the same rows of
-    the serial member stack bit for bit.
+    its task.  The forward runs the same deterministic numpy kernels as the
+    serial path, so the returned ``(shard_members, num_graphs)`` block
+    equals the same rows of the serial member stack bit for bit.
     """
     if _FORWARD_MODELS is None:
         raise RuntimeError(
@@ -509,7 +503,6 @@ class ForwardPool:
         model,
         num_workers: int = 2,
         start_method: str | None = None,
-        backend: str = "numpy",
         stats: ForwardPoolStats | None = None,
         tracer: object | None = None,
     ) -> None:
@@ -524,7 +517,6 @@ class ForwardPool:
         self.model = model
         self.num_workers = num_workers
         self.start_method = start_method
-        self.backend = backend
         # An injected stats object survives pool rebuilds: the supervisor
         # passes one so lifetime counters aggregate across restarts.
         self.stats = stats if stats is not None else ForwardPoolStats()
@@ -685,7 +677,7 @@ class ForwardPool:
                         max_workers=self.num_workers,
                         mp_context=context,
                         initializer=forward_worker_init,
-                        initargs=(block.spec, type(reference), configs, dims, self.backend),
+                        initargs=(block.spec, type(reference), configs, dims),
                     )
                 except Exception:
                     # Pool construction failed (spawn pickling, fd/process

@@ -10,8 +10,7 @@ name, request/response schema names), matched with ``{param}`` segments so
 
 Both servers resolve ``Route.name`` against their own bound handlers and
 both answer ``GET /v1/routes`` with :meth:`RouteTable.describe` — clients
-can discover the surface (and the deprecation pointers) instead of
-hard-coding it.
+can discover the surface instead of hard-coding it.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class Route:
     #: shapes in the README's API reference), not validation hooks.
     request_schema: str | None = None
     response_schema: str | None = None
-    #: Set on endpoints kept for compatibility; surfaces in ``/v1/routes``
-    #: and as a ``Deprecation`` response header.
-    deprecated: bool = False
-    successor: str | None = None
 
     def match(self, path: str) -> dict[str, str] | None:
         """Path params when ``path`` matches this pattern, else ``None``."""
@@ -57,17 +52,13 @@ class Route:
         return params
 
     def describe(self) -> dict:
-        entry = {
+        return {
             "method": self.method,
             "path": self.pattern,
             "name": self.name,
             "request_schema": self.request_schema,
             "response_schema": self.response_schema,
         }
-        if self.deprecated:
-            entry["deprecated"] = True
-            entry["successor"] = self.successor
-        return entry
 
 
 class RouteTable:
@@ -191,15 +182,6 @@ GATEWAY_ROUTES = RouteTable(
             request_schema="EstimateManyRequest",
             response_schema="EstimateManyResponse",
         ),
-        Route(
-            "POST",
-            "/v1/explore",
-            "explore",
-            request_schema="ExploreRequest",
-            response_schema="ExploreReport",
-            deprecated=True,
-            successor="/v1/jobs/explore",
-        ),
         *_JOB_ROUTES,
         *_DEPLOYMENT_ROUTES,
         Route("GET", "/v1/routes", "routes", response_schema="RouteTable"),
@@ -228,15 +210,6 @@ ROUTER_ROUTES = RouteTable(
             "estimate_many",
             request_schema="EstimateManyRequest",
             response_schema="EstimateManyResponse",
-        ),
-        Route(
-            "POST",
-            "/v1/explore",
-            "explore",
-            request_schema="ExploreRequest",
-            response_schema="ExploreReport",
-            deprecated=True,
-            successor="/v1/jobs/explore",
         ),
         *_JOB_ROUTES,
         *_DEPLOYMENT_ROUTES,

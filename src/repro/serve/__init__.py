@@ -1,11 +1,9 @@
-"""Serving subsystem: durable model artifacts, batched inference, caching.
+"""Serving subsystem: durable model artifacts, caching, the service façade.
 
 This package turns the trained PowerGear estimator into a long-lived service:
 
 * :mod:`repro.serve.registry` — versioned on-disk model artifacts that load
   back bit-exactly,
-* :mod:`repro.serve.batching` — block-diagonal graph packing so a request
-  batch runs one vectorised forward pass per ensemble member,
 * :mod:`repro.serve.cache` — content-addressed memoisation of featurisation
   and predictions across requests,
 * :mod:`repro.serve.service` — the :class:`PowerEstimationService` façade with
@@ -13,13 +11,6 @@ This package turns the trained PowerGear estimator into a long-lived service:
   throughput instrumentation.
 """
 
-from repro.serve.batching import (
-    PackedBatch,
-    iter_chunks,
-    pack_graphs,
-    pack_samples,
-    shard_evenly,
-)
 from repro.serve.cache import (
     CacheStats,
     InferenceCache,
@@ -45,11 +36,6 @@ from repro.serve.service import (
 )
 
 __all__ = [
-    "PackedBatch",
-    "pack_graphs",
-    "pack_samples",
-    "iter_chunks",
-    "shard_evenly",
     "CacheStats",
     "InferenceCache",
     "LRUStore",

@@ -41,12 +41,10 @@ through :meth:`PowerEstimationService.runtime_stats`,
 :meth:`PowerEstimationService.health` and the HTTP ``/metrics`` /
 ``/healthz`` endpoints.
 
-Every forward-path kernel routes through the compute backend named by
-``RuntimeConfig.backend`` (or ``$REPRO_BACKEND``; see :mod:`repro.backend`):
-the service pins the resolved backend around its prediction calls, reports
-it in :class:`ServiceMetrics`, and exports the per-backend forward counters
-through :meth:`PowerEstimationService.runtime_stats` and the HTTP
-``/metrics`` endpoint.
+Every forward runs the one kernel set of :mod:`repro.backend`; its forward
+and op counters are exported through
+:meth:`PowerEstimationService.runtime_stats` and the HTTP ``/metrics``
+endpoint.
 
 A registry-backed service also holds a
 :class:`~repro.deploy.resolver.ModelResolver`: each request batch resolves
@@ -71,12 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.backend import (
-    get_backend,
-    instantiated_backends,
-    resolve_backend_name,
-    use_backend,
-)
+from repro.backend import active_backend
 from repro.dse.explorer import (
     DesignCandidate,
     DSEConfig,
@@ -264,8 +257,7 @@ class ExplorationSession:
             )
             for i in result.approximate_pareto_indices
         ]
-        if service.cache.persistent is not None:
-            service.cache.persistent.sync()
+        service._sync_disk_tier()
         elapsed = time.perf_counter() - self._started
         service.metrics.record(explorations=1, total_seconds=elapsed)
         service.obs.request_seconds.labels(endpoint="explore").observe(elapsed)
@@ -310,9 +302,6 @@ class ServiceMetrics:
     predict_seconds: float = 0.0
     total_seconds: float = 0.0
     explorations: int = 0
-    #: Name of the compute backend the service's forwards route through
-    #: (informational, set once at service construction — not a counter).
-    backend: str = ""
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -339,7 +328,6 @@ class ServiceMetrics:
                 "pooled_errors": self.pooled_errors,
                 "pool_restarts": self.pool_restarts,
                 "explorations": self.explorations,
-                "backend": self.backend,
                 "featurise_seconds": self.featurise_seconds,
                 "predict_seconds": self.predict_seconds,
                 "total_seconds": self.total_seconds,
@@ -425,10 +413,7 @@ class PowerEstimationService:
             )
         self.cache = cache
         self.batch_size = batch_size
-        # The compute backend every forward of this service routes through
-        # (explicit config > $REPRO_BACKEND > the numpy reference).
-        self.backend = get_backend(resolve_backend_name(self.runtime.backend))
-        self.metrics = ServiceMetrics(backend=self.backend.name)
+        self.metrics = ServiceMetrics()
         self.model_fingerprint = model.fingerprint()
         # The deployment layer: a registry-backed service resolves every
         # request batch against the live plan; without a registry there is
@@ -578,9 +563,10 @@ class PowerEstimationService:
         snapshot under ``"supervisor"`` (state, size, queue depth, restart
         budget, last fault).
 
-        ``backend`` reports the active compute backend plus the per-backend
-        forward counters (process-wide singletons, so the numbers aggregate
-        across services sharing the process).
+        ``backend`` reports the kernel set's forward and op counters (one
+        process-wide instance, so the numbers aggregate across services
+        sharing the process; pooled forwards run in the workers and are not
+        counted here).
         """
         feat = self._feat_supervisor
         forward = self._forward_supervisor
@@ -599,17 +585,7 @@ class PowerEstimationService:
                 self._batcher.stats.as_dict() if self._batcher is not None else None
             ),
             "cache": self.cache.stats(),
-            "backend": {
-                "active": self.backend.name,
-                "accelerator": self.backend.accelerator,
-                # Only backends this process actually constructed: reading
-                # counters must never trigger another backend's accelerator
-                # probe inside a metrics scrape.
-                "counters": {
-                    name: backend.stats.as_dict()
-                    for name, backend in instantiated_backends().items()
-                },
-            },
+            "backend": active_backend().stats.as_dict(),
         }
 
     def metrics_snapshot(self) -> dict:
@@ -755,11 +731,10 @@ class PowerEstimationService:
             predictions, prediction_hits, served = self._predict_samples(
                 samples, plan=plan
             )
-            if self.cache.persistent is not None:
-                # One amortised index write per request batch (the disk tier
-                # also self-syncs every `sync_every` mutations within huge
-                # batches).
-                self.cache.persistent.sync()
+            # One amortised index write per request batch (the disk tier
+            # also self-syncs every `sync_every` mutations within huge
+            # batches).
+            self._sync_disk_tier()
             span.set_attribute("feature_hits", int(sum(feature_hits)))
             span.set_attribute("prediction_hits", int(sum(prediction_hits)))
 
@@ -956,6 +931,17 @@ class PowerEstimationService:
 
     # --------------------------------------------------------------- internals
 
+    def _sync_disk_tier(self) -> None:
+        """Persist the disk tier's pending index, timed as stage ``cache_sync``
+        under a ``cache.sync`` span (a no-op without a disk tier)."""
+        persistent = self.cache.persistent
+        if persistent is None:
+            return
+        start = time.perf_counter()
+        with self.obs.tracer.span("cache.sync"):
+            persistent.sync()
+        self.obs.observe_stage("cache_sync", time.perf_counter() - start)
+
     def _resolve_samples(
         self, requests: list[EstimateRequest]
     ) -> tuple[list[GraphSample], list[bool]]:
@@ -1119,9 +1105,8 @@ class PowerEstimationService:
         Ensemble batches of at least ``forward_min_graphs`` designs shard the
         packed forward across the :class:`~repro.runtime.pool.ForwardPool`
         (read-only shared-memory weights, deterministic contiguous-member
-        merge); everything else runs in-process.  Both paths produce bitwise-identical predictions, and
-        both route their kernels through the service's pinned backend (the
-        pool pins the same backend in its workers).
+        merge); everything else runs in-process.  Both paths run the same
+        kernels and produce bitwise-identical predictions.
 
         ``resolved`` names the model a deployment plan routed this group to.
         The :class:`~repro.runtime.pool.ForwardPool`'s shared-memory weights
@@ -1143,7 +1128,7 @@ class PowerEstimationService:
                 span.set_attribute("pooled", False)
                 span.set_attribute("worker_pid", os.getpid())
                 span.set_attribute("artifact", resolved.label)
-                with self._model_lock, use_backend(self.backend):
+                with self._model_lock:
                     return resolved.model.predict_batch(
                         samples, batch_size=self.batch_size
                     )
@@ -1178,7 +1163,7 @@ class PowerEstimationService:
                 # is consumed, but a *streak* of strikes retires the pool: a
                 # deterministically broken pool must not re-pay its doomed
                 # setup on every subsequent batch.
-                with self._model_lock, use_backend(self.backend):
+                with self._model_lock:
                     predictions = self.model.predict_batch(
                         samples, batch_size=self.batch_size
                     )
@@ -1187,7 +1172,7 @@ class PowerEstimationService:
                 return predictions
         span.set_attribute("pooled", False)
         span.set_attribute("worker_pid", os.getpid())
-        with self._model_lock, use_backend(self.backend):
+        with self._model_lock:
             return self.model.predict_batch(samples, batch_size=self.batch_size)
 
     def _note_pool_degradation(self, supervisor: SupervisedPool) -> None:
@@ -1245,7 +1230,6 @@ class PowerEstimationService:
                         self.model,
                         num_workers=workers,
                         start_method=self.runtime.start_method,
-                        backend=self.backend.name,
                         stats=self._forward_pool_stats,
                         tracer=self.obs.tracer,
                     ),

@@ -1,10 +1,9 @@
 """Wire (JSON) shapes of the service's response objects.
 
-Lives beside the service — not in :mod:`repro.runtime.http` — because two
-independent layers serialise reports now: the HTTP front end (the blocking
-``/v1/explore`` response) and the job subsystem (a finished job's ``result``
-checkpoint).  Importing the HTTP server for a JSON shape would drag the whole
-asyncio front end into the job runner's import graph.
+Lives beside the service — not in :mod:`repro.runtime.http` — because the
+job subsystem serialises a finished job's ``result`` checkpoint with it, and
+importing the HTTP server for a JSON shape would drag the whole asyncio
+front end into the job runner's import graph.
 """
 
 from __future__ import annotations

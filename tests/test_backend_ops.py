@@ -1,4 +1,4 @@
-"""Unit tests of the compute-backend layer: registry, selection, kernels.
+"""Unit tests of the forward-path kernels and their op tally.
 
 Bitwise equality here means ``tobytes()`` equality — stronger than
 ``allclose`` and stronger than ``==`` (it distinguishes ``-0.0`` from
@@ -7,28 +7,16 @@ Bitwise equality here means ``tobytes()`` equality — stronger than
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
-from repro.backend import (
-    BACKEND_ENV_VAR,
-    NumpyBackend,
-    OptimizedBackend,
-    active_backend,
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-    set_default_backend,
-    use_backend,
-)
-from repro.nn.tensor import Tensor, scatter_add_rows
+from repro.backend import ArrayBackend, active_backend
+from repro.nn.tensor import scatter_add_rows
 
 
 @pytest.fixture()
-def backends():
-    return get_backend("numpy"), get_backend("optimized")
+def backend():
+    return active_backend()
 
 
 def _assert_bitwise(reference: np.ndarray, candidate: np.ndarray, label: str) -> None:
@@ -37,213 +25,46 @@ def _assert_bitwise(reference: np.ndarray, candidate: np.ndarray, label: str) ->
     assert reference.tobytes() == candidate.tobytes(), f"{label} diverged bitwise"
 
 
-# ----------------------------------------------------------------- selection
-
-
-def test_registry_and_singletons():
-    assert "numpy" in available_backends()
-    assert "optimized" in available_backends()
-    assert get_backend("numpy") is get_backend("numpy")
-    assert isinstance(get_backend("numpy"), NumpyBackend)
-    assert isinstance(get_backend("optimized"), OptimizedBackend)
-    with pytest.raises(ValueError):
-        get_backend("cuda")
-
-
-def test_resolve_backend_name(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-    assert resolve_backend_name() == "numpy"
-    assert resolve_backend_name("optimized") == "optimized"
-    monkeypatch.setenv(BACKEND_ENV_VAR, "optimized")
-    assert resolve_backend_name() == "optimized"
-    assert resolve_backend_name("numpy") == "numpy"  # explicit beats env
-    monkeypatch.setenv(BACKEND_ENV_VAR, "gpu9000")
-    with pytest.raises(ValueError):
-        resolve_backend_name()
-
-
-def test_use_backend_overrides_and_nests():
-    base = active_backend()
-    with use_backend("optimized") as outer:
-        assert active_backend() is outer
-        with use_backend("numpy") as inner:
-            assert active_backend() is inner
-        assert active_backend() is outer
-    assert active_backend() is base
-
-
-def test_use_backend_is_thread_local():
-    seen = {}
-
-    def probe():
-        seen["worker"] = active_backend().name
-
-    with use_backend("optimized"):
-        thread = threading.Thread(target=probe)
-        thread.start()
-        thread.join()
-        assert active_backend().name == "optimized"
-    # The spawned thread never saw the caller's override.
-    assert seen["worker"] == active_backend().name
-
-
-def test_set_default_backend_roundtrip():
-    original = active_backend()
-    try:
-        set_default_backend("optimized")
-        assert active_backend().name == "optimized"
-    finally:
-        set_default_backend(original)
-
-
-def test_optimized_accelerator_falls_back_cleanly():
-    backend = get_backend("optimized")
-    # In this environment neither torch nor numba is installed, so the
-    # backend must bind no accelerator and still serve every kernel.
-    assert backend.accelerator in ("none", "numba", "torch")
-    out = backend.scatter_add(np.ones((4, 3)), np.array([0, 1, 0, 1]), 2)
-    assert out.shape == (2, 3)
-
-
 # ------------------------------------------------------------------- kernels
 
 
-def _random_operands(seed: int):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((37, 19))
-    b = rng.standard_normal((19, 23))
-    bias = rng.standard_normal(23)
-    values = rng.standard_normal((37, 23))
-    index = rng.integers(0, 11, 37)
-    return a, b, bias, values, index
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("scoped", [False, True])
-def test_kernel_bitwise_equivalence(backends, seed, scoped):
-    reference, optimized = backends
-    a, b, bias, values, index = _random_operands(seed)
-    import contextlib
-
-    scope = optimized.forward_scope() if scoped else contextlib.nullcontext()
-    with scope:
-        _assert_bitwise(reference.matmul(a, b), optimized.matmul(a, b), "matmul")
-        _assert_bitwise(
-            reference.linear(a, b, bias), optimized.linear(a, b, bias), "linear"
-        )
-        _assert_bitwise(reference.linear(a, b), optimized.linear(a, b), "linear/nobias")
-        x = reference.matmul(a, b)
-        _assert_bitwise(reference.relu(x), optimized.relu(x), "relu")
-        _assert_bitwise(
-            reference.add_relu(x, -0.5 * x), optimized.add_relu(x, -0.5 * x), "add_relu"
-        )
-        _assert_bitwise(reference.add(x, bias), optimized.add(x, bias), "add")
-        _assert_bitwise(reference.mul(x, x), optimized.mul(x, x), "mul")
-        _assert_bitwise(
-            reference.gather_rows(values, index),
-            optimized.gather_rows(values, index),
-            "gather_rows",
-        )
-        _assert_bitwise(
-            reference.scatter_add(values, index, 11),
-            optimized.scatter_add(values, index, 11),
-            "scatter_add",
-        )
-        _assert_bitwise(
-            reference.scatter_add(values[:, 0], index, 11),
-            optimized.scatter_add(values[:, 0], index, 11),
-            "scatter_add/1d",
-        )
-        _assert_bitwise(
-            reference.scatter_add_relu(values, index, 11),
-            optimized.scatter_add_relu(values, index, 11),
-            "scatter_add_relu",
-        )
-        _assert_bitwise(
-            reference.segment_mean(values, index, 11),
-            optimized.segment_mean(values, index, 11),
-            "segment_mean",
-        )
-        _assert_bitwise(
-            reference.bincount(index, minlength=11),
-            optimized.bincount(index, minlength=11),
-            "bincount",
-        )
-
-
-def test_scatter_add_matches_ufunc_at(backends):
-    """The reference formulation is the documented np.add.at equivalence."""
-    reference, optimized = backends
+def test_scatter_add_matches_ufunc_at(backend):
+    """The bincount formulation is the documented np.add.at equivalence."""
     rng = np.random.default_rng(7)
     values = rng.standard_normal((64, 5))
     index = rng.integers(0, 9, 64)
     expected = np.zeros((9, 5))
     np.add.at(expected, index, values)
-    for backend in (reference, optimized):
-        _assert_bitwise(expected, backend.scatter_add(values, index, 9), backend.name)
+    _assert_bitwise(expected, backend.scatter_add(values, index, 9), "scatter_add")
     # Empty / degenerate shapes.
-    for backend in (reference, optimized):
-        assert backend.scatter_add(np.zeros((0, 5)), np.zeros(0, dtype=int), 3).shape == (3, 5)
-        assert backend.scatter_add(np.zeros((4, 0)), np.zeros(4, dtype=int), 3).shape == (3, 0)
+    assert backend.scatter_add(np.zeros((0, 5)), np.zeros(0, dtype=int), 3).shape == (3, 5)
+    assert backend.scatter_add(np.zeros((4, 0)), np.zeros(4, dtype=int), 3).shape == (3, 0)
 
 
-def test_relu_preserves_negative_zero_convention(backends):
-    """Both backends keep the historical x * (x > 0) sign-of-zero bits."""
-    reference, optimized = backends
+def test_relu_preserves_negative_zero_convention(backend):
+    """ReLU keeps the historical x * (x > 0) sign-of-zero bits."""
     x = np.array([-1.0, 0.0, 2.0, -0.0])
-    expected = x * (x > 0)
-    _assert_bitwise(expected, reference.relu(x), "numpy relu")
-    _assert_bitwise(expected, optimized.relu(x), "optimized relu")
+    _assert_bitwise(x * (x > 0), backend.relu(x), "relu")
 
 
-# --------------------------------------------------------- workspaces, stats
+# ------------------------------------------------------------------- tally
 
 
 def test_forward_scope_counts_and_reuses_workspaces():
-    backend = OptimizedBackend()  # private instance: counters start at zero
+    backend = ArrayBackend()  # private instance: counters start at zero
     x = np.linspace(-1.0, 1.0, 128).reshape(16, 8)
     with backend.forward_scope():
         first = backend.relu(x)
-        backend.relu(x)  # same shape: reuses the recycled mask within pool
+        backend.matmul(x, x.T)
     with backend.forward_scope():
         second = backend.add_relu(x, x)
+    backend.matmul(x, x.T)  # outside any scope: the training path, uncounted
     stats = backend.stats.as_dict()
     assert stats["forwards"] == 2
+    assert stats["matmuls"] == 1
     assert stats["fused_add_relu"] == 1
-    # Same mask shape across scopes: the later kernels hit the free list.
-    assert stats["workspace_hits"] >= 1
-    assert stats["workspace_misses"] >= 1
     assert first.tobytes() == (x * (x > 0)).tobytes()
     assert second.tobytes() == ((x + x) * ((x + x) > 0)).tobytes()
-
-
-def test_optimized_outputs_do_not_alias_outside_scope():
-    backend = get_backend("optimized")
-    a = np.ones((8, 4))
-    b = np.ones((4, 4))
-    first = backend.matmul(a, b)
-    second = backend.matmul(a, b)
-    assert first is not second
-    second[...] = -1.0
-    assert float(first[0, 0]) == 4.0
-
-
-def test_training_path_is_backend_independent():
-    """Gradients computed under either backend are bitwise-identical."""
-    rng = np.random.default_rng(3)
-    inputs = rng.standard_normal((12, 6))
-    weight_init = rng.standard_normal((6, 4))
-    index = rng.integers(0, 5, 12)
-
-    def run(backend_name: str) -> bytes:
-        with use_backend(backend_name):
-            weight = Tensor(weight_init.copy(), requires_grad=True)
-            out = Tensor(inputs) @ weight
-            pooled = out.relu().segment_sum(index, 5)
-            pooled.sum().backward()
-            return weight.grad.tobytes()
-
-    assert run("numpy") == run("optimized")
 
 
 def test_scatter_add_rows_delegates_to_active_backend():
@@ -251,6 +72,4 @@ def test_scatter_add_rows_delegates_to_active_backend():
     index = np.array([0, 1, 0, 1, 2, 2])
     expected = np.zeros((3, 2))
     np.add.at(expected, index, values)
-    for name in available_backends():
-        with use_backend(name):
-            _assert_bitwise(expected, scatter_add_rows(values, index, 3), name)
+    _assert_bitwise(expected, scatter_add_rows(values, index, 3), "scatter_add_rows")

@@ -5,8 +5,9 @@ service/gateway/HTTP process loaded from one shared registry — behind a
 :class:`~repro.cluster.router.ClusterRouter`, and holds the routed responses
 against a *direct* in-process service built from the same registry:
 
-* every ``/v1/estimate`` / ``/v1/estimate_many`` / ``/v1/explore`` response
-  through the router is bitwise-identical to the direct call (the registry's
+* every ``/v1/estimate`` / ``/v1/estimate_many`` response and every
+  ``/v1/jobs/explore`` job result through the router is bitwise-identical
+  to the direct call (the registry's
   bit-exact load plus batch-composition-invariant predictions make the
   replica boundary and the router's per-kernel sub-batching invisible);
 * requests route to the kernel's ring owner, and ``/v1/cluster`` exposes the
@@ -227,17 +228,27 @@ def test_routed_estimate_many_matches_direct_across_kernels(
 
 
 def test_routed_explore_matches_direct(shared_manager, direct_service):
-    from repro.runtime.http import explore_report_to_json
+    """An exploration job submitted through the router finishes with the
+    direct in-process ``explore`` report."""
+    from repro.serve.wire import explore_report_to_json
 
     async def scenario():
         async with routed(shared_manager) as ctx:
-            status, body = await ctx.call(
-                "POST", "/v1/explore", {"kernel": "atax", "budget": 0.4}
+            status, job = await ctx.call(
+                "POST", "/v1/jobs/explore", {"kernel": "atax", "budget": 0.4}
             )
-            return status, body
+            assert status == 202, job
+            deadline = time.monotonic() + 120
+            while job["state"] not in ("succeeded", "failed", "cancelled"):
+                assert time.monotonic() < deadline, f"job stuck: {job}"
+                await asyncio.sleep(0.05)
+                status, job = await ctx.call("GET", f"/v1/jobs/{job['job_id']}")
+                assert status == 200, job
+            return job
 
-    status, body = asyncio.run(scenario())
-    assert status == 200
+    job = asyncio.run(scenario())
+    assert job["state"] == "succeeded", job
+    body = job["result"]
     direct = explore_report_to_json(direct_service.explore("atax", 0.4))
     # Frontier, ADRS, every evaluated point — identical to the in-process
     # run; only wall-clock differs.

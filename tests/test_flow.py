@@ -163,3 +163,52 @@ def test_leave_one_out_evaluator_unknown_model(small_dataset):
 def test_vivado_adapter_rejects_static_target():
     with pytest.raises(ValueError):
         VivadoEstimatorAdapter("static")
+
+
+# --------------------------------------------------------------------------- batched prediction
+
+
+def small_powergear(ensemble: bool = True) -> PowerGear:
+    return PowerGear(
+        PowerGearConfig(
+            target="dynamic",
+            gnn=GNNConfig(hidden_dim=16, num_layers=2),
+            training=TrainingConfig(epochs=6, batch_size=16),
+            ensemble=EnsembleConfig(folds=2, seeds=(0,)) if ensemble else None,
+        )
+    )
+
+
+def test_predict_batch_matches_predict_ensemble(random_sample_factory):
+    samples = random_sample_factory(36, seed=1)
+    model = small_powergear(ensemble=True).fit(samples[:24])
+    test = samples[24:]
+    per_sample = model.predict(test)
+    batched = model.predict_batch(test)
+    chunked = model.predict_batch(test, batch_size=5)
+    assert np.allclose(per_sample, batched, atol=1e-8)
+    assert np.allclose(per_sample, chunked, atol=1e-8)
+    assert model.predict_batch([]).shape == (0,)
+
+
+def test_predict_batch_matches_predict_single_model(random_sample_factory):
+    samples = random_sample_factory(30, seed=2)
+    model = small_powergear(ensemble=False).fit(samples[:22])
+    test = samples[22:]
+    assert np.allclose(model.predict(test), model.predict_batch(test), atol=1e-8)
+
+
+def test_predict_batch_handles_ablation_transforms(random_sample_factory):
+    """Batched inference must agree under the undirected / homogeneous ablations."""
+    samples = random_sample_factory(28, seed=4)
+    config = PowerGearConfig(
+        target="dynamic",
+        gnn=GNNConfig(
+            hidden_dim=12, num_layers=2, directed=False, heterogeneous=False
+        ),
+        training=TrainingConfig(epochs=5, batch_size=16),
+        ensemble=None,
+    )
+    model = PowerGear(config).fit(samples[:20])
+    test = samples[20:]
+    assert np.allclose(model.predict(test), model.predict_batch(test), atol=1e-8)

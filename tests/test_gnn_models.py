@@ -144,3 +144,24 @@ def test_empty_edge_graph_still_works():
     for model_class in MODEL_CLASSES:
         model = model_class(6, 4, 5, GNNConfig(hidden_dim=8, num_layers=1, dropout=0.0))
         assert model(graph).shape == (1,)
+
+
+def test_graph_batch_relation_ids_are_memoised(random_graph_factory):
+    graph = random_graph_factory(num_nodes=8, num_edges=20, seed=3)
+    batch = GraphBatch.from_graph(graph)
+    ids_first = batch.relation_edge_ids(1, 4)
+    ids_second = batch.relation_edge_ids(1, 4)
+    assert ids_first is ids_second
+    assert np.array_equal(ids_first, np.nonzero(graph.edge_types == 1)[0])
+    # A single-relation view covers every edge.
+    assert np.array_equal(batch.relation_edge_ids(0, 1), np.arange(graph.num_edges))
+
+
+def test_gnn_predict_batch_size_argument(random_graph_factory):
+    graphs = [random_graph_factory(num_nodes=6 + i, num_edges=12, seed=i) for i in range(7)]
+    net = HECGNN(6, 4, 5, GNNConfig(hidden_dim=8, num_layers=2))
+    loop = net.predict(graphs)
+    batched = net.predict(graphs, batch_size=3)
+    assert np.allclose(loop, batched, atol=1e-8)
+    with pytest.raises(ValueError):
+        net.predict(graphs, batch_size=0)

@@ -98,3 +98,18 @@ def test_edges_of_type_mask(random_graph_factory):
     graph = random_graph_factory(num_edges=30)
     total = sum(graph.edges_of_type(r).sum() for r in range(4))
     assert total == graph.num_edges
+
+
+def test_unbatch_inverts_batching(random_graph_factory):
+    graphs = [random_graph_factory(num_nodes=5 + i, num_edges=9, seed=i) for i in range(3)]
+    merged = HeteroGraph.batch_graphs(graphs)
+    restored = merged.unbatch()
+    assert len(restored) == len(graphs)
+    for original, back in zip(graphs, restored):
+        assert np.array_equal(original.node_features, back.node_features)
+        assert np.array_equal(original.edge_index, back.edge_index)
+        assert np.array_equal(original.edge_features, back.edge_features)
+        assert np.array_equal(original.edge_types, back.edge_types)
+        assert np.array_equal(
+            original.metadata.reshape(-1), back.metadata.reshape(-1)
+        )

@@ -1,15 +1,11 @@
-"""Grouped one-GEMM forward, the tolerance tier and the pooled forward.
+"""Grouped one-GEMM forward and the pooled forward.
 
-Three contracts under test, all bitwise unless explicitly relaxed:
+Two contracts under test, both bitwise:
 
 * **Grouped kernels** — ``grouped_matmul`` / ``scatter_add_grouped`` equal
   the historical per-relation loop bit for bit, at the kernel level and
   through the full ``predict_batch`` path (``REPRO_GROUPED_FORWARD`` toggles
-  the model-side path; both backends must agree with the loop exactly).
-* **Tolerance tier** — only the explicit ``f32`` accelerator opt-in may
-  advertise a non-``None`` ``tolerance``; its predictions stay within the
-  advertised ``(rtol, atol)`` of the bitwise reference, and its casts are
-  confined to inference forward scopes (training math stays exact f64).
+  the model-side path).
 * **Pooled forward** — packed batches ride shared array bundles, and the
   member-sharded pooled forward stays bitwise-identical to serial across a
   real SIGKILL of a forward worker mid-service.
@@ -25,8 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.backend import NumpyBackend, OptimizedBackend, get_backend, use_backend
-from repro.backend.optimized import F32_TOLERANCE
+from repro.backend import ArrayBackend, active_backend
 from repro.flow.powergear import PowerGear, PowerGearConfig
 from repro.gnn.base import GROUPED_ENV_VAR
 from repro.gnn.config import GNNConfig
@@ -62,8 +57,7 @@ def _assert_spread(predictions: np.ndarray) -> None:
 # ------------------------------------------------------------ grouped kernels
 
 
-@pytest.mark.parametrize("backend_cls", [NumpyBackend, OptimizedBackend])
-def test_grouped_kernels_match_per_relation_loop_bitwise(backend_cls):
+def test_grouped_kernels_match_per_relation_loop_bitwise():
     """Kernel-level contract: grouped ops == the per-relation loop, tobytes.
 
     The layout mirrors what ``GraphBatch.relation_groups`` produces —
@@ -82,7 +76,7 @@ def test_grouped_kernels_match_per_relation_loop_bitwise(backend_cls):
     weights = rng.standard_normal((relations, d_in, d_out))
     destinations = np.sort(rng.integers(0, nodes, size=edges))
 
-    backend = backend_cls()
+    backend = ArrayBackend()
     grouped = backend.grouped_matmul(values, weights, offsets)
     expected = np.empty((edges, d_out))
     for relation in range(relations):
@@ -110,84 +104,34 @@ def test_grouped_kernels_match_per_relation_loop_bitwise(backend_cls):
     assert not empty.any()
 
 
-@pytest.mark.parametrize("backend_name", ["numpy", "optimized"])
-def test_grouped_forward_matches_relation_loop_bitwise(
-    backend_name, ensemble_model, monkeypatch
-):
+def test_grouped_forward_matches_relation_loop_bitwise(ensemble_model, monkeypatch):
     """End-to-end: ``REPRO_GROUPED_FORWARD`` on/off is invisible, tobytes.
 
     Runs each mode twice (fresh pack + warm second batch) so the memoised
-    relation bookkeeping and the optimized backend's identity-keyed operator
-    caches are both exercised, and checks the backend's grouped-op counters
+    relation bookkeeping is exercised, and checks the grouped-op counters
     to prove the grouped path genuinely ran rather than silently falling
     back to the loop.
     """
     model, samples = ensemble_model
     queries = samples[28:]
-    backend = get_backend(backend_name)
+    backend = active_backend()
 
     monkeypatch.setenv(GROUPED_ENV_VAR, "off")
-    with use_backend(backend):
-        loop = model.predict_batch(queries, batch_size=6)
-        loop_again = model.predict_batch(queries, batch_size=6)
+    loop = model.predict_batch(queries, batch_size=6)
+    loop_again = model.predict_batch(queries, batch_size=6)
     _assert_spread(loop)
     assert loop_again.tobytes() == loop.tobytes()
 
     before = backend.stats.as_dict()
     monkeypatch.setenv(GROUPED_ENV_VAR, "on")
-    with use_backend(backend):
-        grouped = model.predict_batch(queries, batch_size=6)
-        grouped_again = model.predict_batch(queries, batch_size=6)
+    grouped = model.predict_batch(queries, batch_size=6)
+    grouped_again = model.predict_batch(queries, batch_size=6)
     after = backend.stats.as_dict()
 
     assert grouped.tobytes() == loop.tobytes()
     assert grouped_again.tobytes() == loop.tobytes()
     assert after["grouped_matmuls"] > before["grouped_matmuls"]
     assert after["grouped_scatter_adds"] > before["grouped_scatter_adds"]
-
-
-# ------------------------------------------------------------- tolerance tier
-
-
-def test_only_the_f32_opt_in_advertises_a_tolerance():
-    assert NumpyBackend().tolerance is None
-    assert OptimizedBackend().tolerance is None
-    f32 = OptimizedBackend(accel="f32")
-    assert f32.accelerator == "f32"
-    assert f32.tolerance == F32_TOLERANCE
-
-
-def test_f32_casts_are_confined_to_forward_scopes():
-    """Outside a forward scope (i.e. on the training path) the f32 tier is
-    inert: kernels stay exact float64, bitwise equal to the reference."""
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((23, 17))
-    b = rng.standard_normal((17, 9))
-    f32 = OptimizedBackend(accel="f32")
-    outside = f32.matmul(a, b)
-    assert outside.dtype == np.float64
-    assert outside.tobytes() == (a @ b).tobytes()
-    with f32.forward_scope():
-        inside = np.asarray(f32.matmul(a, b), dtype=np.float64)
-    assert inside.dtype == np.float64
-    assert inside.tobytes() != outside.tobytes()  # the cast really engaged
-    rtol, atol = F32_TOLERANCE
-    assert np.allclose(inside, outside, rtol=rtol, atol=atol)
-
-
-def test_f32_predictions_stay_within_the_advertised_tolerance(ensemble_model):
-    model, samples = ensemble_model
-    queries = samples[28:]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries, batch_size=6)
-    _assert_spread(reference)
-    with use_backend(OptimizedBackend(accel="f32")):
-        accel = model.predict_batch(queries, batch_size=6)
-    rtol, atol = F32_TOLERANCE
-    assert np.allclose(accel, reference, rtol=rtol, atol=atol)
-    # The tier is a genuine relaxation: with spread this far above the clamp
-    # floor, single-precision round-off is visible — NOT bitwise.
-    assert accel.tobytes() != reference.tobytes()
 
 
 # ------------------------------------------------------- shared array bundles
@@ -235,8 +179,7 @@ def test_service_recovers_sigkilled_forward_worker_bitwise(ensemble_model):
     model, samples = ensemble_model
     queries = samples[28:]
     requests = [EstimateRequest.from_sample(s) for s in queries]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries, batch_size=len(queries))
+    reference = model.predict_batch(queries, batch_size=len(queries))
 
     def powers(responses) -> bytes:
         return np.array([r.power for r in responses]).tobytes()

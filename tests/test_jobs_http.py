@@ -8,8 +8,6 @@ user hits — and pins the PR's acceptance criteria:
 * job-mode exploration is bitwise-identical to the direct blocking
   ``service.explore`` (same frontier, same ADRS float), including after a
   mid-job SIGKILL + replica respawn resumes it from the durable checkpoint;
-* the blocking ``POST /v1/explore`` still answers — with the ``Deprecation``
-  header pointing at the successor route;
 * every failure path (quota, unknown job, disabled tier, validation) wears
   the unified ``{"error": {type, message, retryable}}`` envelope.
 """
@@ -205,50 +203,6 @@ def test_cancel_mid_flight_over_http(served_model):
     asyncio.run(scenario())
 
 
-# ------------------------------------------------- deprecated blocking wrapper
-
-
-def test_blocking_explore_wraps_jobs_with_deprecation_header(served_model):
-    async def scenario():
-        async with serve(served_model) as ctx:
-            status, headers, data = await request_raw(
-                ctx.host,
-                ctx.port,
-                "POST",
-                "/v1/explore",
-                {"kernel": "atax", "budget": 0.5},
-            )
-            assert status == 200
-            assert headers.get("deprecation") == "true"
-            assert "/v1/jobs/explore" in headers.get("link", "")
-            import json as _json
-
-            blocking = _json.loads(data.decode())
-            direct = explore_report_to_json(ctx.service.explore("atax", 0.5))
-            assert stable(blocking) == stable(direct)
-            # The wrapper ran as a real job: it's in the table, succeeded.
-            status, listing = await ctx.call("GET", "/v1/jobs")
-            assert [j["state"] for j in listing["jobs"]] == ["succeeded"]
-
-    asyncio.run(scenario())
-
-
-def test_blocking_explore_still_works_without_jobs_tier(served_model):
-    async def scenario():
-        async with serve(served_model, jobs=False) as ctx:
-            status, headers, data = await request_raw(
-                ctx.host,
-                ctx.port,
-                "POST",
-                "/v1/explore",
-                {"kernel": "atax", "budget": 0.5},
-            )
-            assert status == 200
-            assert headers.get("deprecation") == "true"
-
-    asyncio.run(scenario())
-
-
 # ------------------------------------------------------------ error envelopes
 
 
@@ -330,6 +284,9 @@ def test_submit_validation_envelopes(served_model):
                 {"kernel": "atax", "budget": 0.5, "dse_config": {"seed": 1}}
             )
             assert status == 400
+            for budget in (True, "lots"):  # bool_budget, bad_budget
+                status, envelope = await ctx.submit({"kernel": "atax", "budget": budget})
+                assert status == 400 and envelope["error"]["type"] == "bad_request"
             status, envelope = await ctx.call(
                 "GET", "/v1/jobs/atax-deadbeef/updates?since=-1"
             )
@@ -355,9 +312,10 @@ def test_routes_table_is_machine_readable(served_model):
             by_path = {
                 (r["method"], r["path"]): r for r in payload["routes"]
             }
-            explore = by_path[("POST", "/v1/explore")]
-            assert explore["deprecated"] is True
-            assert explore["successor"] == "/v1/jobs/explore"
+            # Exploration is served by the jobs API alone.
+            assert [
+                route for route in by_path if route[1].endswith("/explore")
+            ] == [("POST", "/v1/jobs/explore")]
             assert ("GET", "/v1/jobs/{job_id}/updates") in by_path
             assert ("POST", "/v1/jobs/{job_id}/cancel") in by_path
 

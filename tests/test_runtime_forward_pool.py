@@ -15,18 +15,19 @@ import sys
 import numpy as np
 import pytest
 
-from repro.backend import use_backend
 from repro.flow.powergear import PowerGear, PowerGearConfig
 from repro.gnn.config import GNNConfig
 from repro.gnn.ensemble import EnsembleConfig
 from repro.gnn.trainer import TrainingConfig
 from repro.runtime import (
     ForwardPool,
+    RuntimeConfig,
     SharedParameterBlock,
     attach_parameter_block,
     available_cpus,
 )
 from repro.runtime.pool import ForwardTask, _openblas_function
+from repro.serve import EstimateRequest, PowerEstimationService
 
 from test_serve_service import build_synthetic_samples
 
@@ -42,6 +43,20 @@ def fitted_ensemble():
             ensemble=EnsembleConfig(folds=3, seeds=(0, 1)),  # 6 members
         )
     ).fit(samples[:28])
+    return model, samples
+
+
+@pytest.fixture(scope="module")
+def ensemble_model():
+    samples = build_synthetic_samples(36, seed=9)
+    model = PowerGear(
+        PowerGearConfig(
+            target="dynamic",
+            gnn=GNNConfig(hidden_dim=10, num_layers=2),
+            training=TrainingConfig(epochs=3, batch_size=16),
+            ensemble=EnsembleConfig(folds=2, seeds=(0, 1)),  # 4 members
+        )
+    ).fit(samples[:24])
     return model, samples
 
 
@@ -90,8 +105,7 @@ def test_shared_parameter_block_rejects_empty():
 def test_forward_pool_matches_serial_bitwise(fitted_ensemble):
     model, samples = fitted_ensemble
     queries = samples[28:]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries, batch_size=5)
+    reference = model.predict_batch(queries, batch_size=5)
     with ForwardPool(model, num_workers=2) as pool:
         pooled = pool.predict_batch(queries, batch_size=5)
         # A second batch reuses the warm workers and the same segment.
@@ -124,8 +138,7 @@ def test_forward_pool_single_chunk_and_empty(fitted_ensemble):
     queries = samples[28:]
     with ForwardPool(model, num_workers=3) as pool:
         assert pool.predict_batch([]).shape == (0,)
-        with use_backend("numpy"):
-            reference = model.predict_batch(queries)
+        reference = model.predict_batch(queries)
         assert pool.predict_batch(queries).tobytes() == reference.tobytes()
 
 
@@ -179,9 +192,8 @@ def test_service_pools_ensemble_batches_from_min_graphs(fitted_ensemble):
     threshold = runtime.forward_min_graphs
     queries = samples[28 : 28 + threshold]
     requests = [EstimateRequest.from_sample(s) for s in queries]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries, batch_size=threshold)
-        reference_below = model.predict_batch(queries[:-1], batch_size=threshold)
+    reference = model.predict_batch(queries, batch_size=threshold)
+    reference_below = model.predict_batch(queries[:-1], batch_size=threshold)
 
     def powers(responses) -> bytes:
         return np.array([r.power for r in responses]).tobytes()
@@ -206,8 +218,7 @@ def test_service_pools_ensemble_batches_from_min_graphs(fitted_ensemble):
             ensemble=None,
         )
     ).fit(samples[:24])
-    with use_backend("numpy"):
-        single_reference = single.predict_batch(queries, batch_size=threshold)
+    single_reference = single.predict_batch(queries, batch_size=threshold)
     with PowerEstimationService(
         single, batch_size=threshold, runtime=runtime
     ) as service:
@@ -243,8 +254,7 @@ def test_forward_pool_leaves_no_buffer_error_on_stderr(
     monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
     model, samples = fitted_ensemble
     queries = samples[28:]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries, batch_size=5)
+    reference = model.predict_batch(queries, batch_size=5)
     pool = ForwardPool(model, num_workers=2, start_method="fork")
     try:
         for _ in range(3):  # three batches of three chunks each
@@ -395,8 +405,7 @@ def test_service_restarts_crashed_forward_pool_within_budget(fitted_ensemble):
     model, samples = fitted_ensemble
     queries = samples[28:32]
     requests = [EstimateRequest.from_sample(s) for s in queries]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries, batch_size=4)
+    reference = model.predict_batch(queries, batch_size=4)
 
     runtime = RuntimeConfig(
         forward_workers=2, forward_min_graphs=2, pool_restart_backoff_s=0.01
@@ -471,7 +480,28 @@ def test_forward_pool_spawn_start_method(fitted_ensemble):
     """The shared segment also reaches spawn workers (no fork inheritance)."""
     model, samples = fitted_ensemble
     queries = samples[28:32]
-    with use_backend("numpy"):
-        reference = model.predict_batch(queries)
+    reference = model.predict_batch(queries)
     with ForwardPool(model, num_workers=2, start_method="spawn") as pool:
         assert pool.predict_batch(queries).tobytes() == reference.tobytes()
+
+
+def test_pooled_forward_bitwise_through_service(ensemble_model):
+    """The pooled path (shared-memory forward shards) matches serial bytes."""
+    model, samples = ensemble_model
+    queries = samples[24:]
+    requests = [EstimateRequest.from_sample(s) for s in queries]
+
+    with PowerEstimationService(
+        model, batch_size=6, runtime=RuntimeConfig()
+    ) as serial_service:
+        reference = [r.power for r in serial_service.estimate_many(requests)]
+
+    runtime = RuntimeConfig(forward_workers=2)
+    with PowerEstimationService(model, batch_size=6, runtime=runtime) as service:
+        pooled = [r.power for r in service.estimate_many(requests)]
+        assert np.array(pooled).tobytes() == np.array(reference).tobytes()
+        snapshot = service.metrics.snapshot()
+        assert snapshot["pooled_predicted"] == len(requests)
+        stats = service.runtime_stats()["forward_pool"]
+        assert stats["designs"] == len(requests)
+        assert stats["shards"] >= 2

@@ -98,9 +98,6 @@ class StubService:
     def estimate_many(self, requests):
         return self._serve("estimate_many", list(requests))
 
-    def explore(self, kernel, budget=None, **kwargs):
-        return self._serve("explore", (kernel, budget))
-
 
 def test_runtime_config_gateway_knobs():
     with pytest.raises(ValueError):
@@ -171,21 +168,6 @@ def test_gateway_thousand_concurrent_estimates(served_model, sample_requests):
     assert gateway_stats["completed"] == SWEEP_REQUESTS
     assert gateway_stats["in_flight"] == 0
     assert gateway_stats["peak_in_flight"] > 1
-
-
-def test_gateway_explore_matches_direct(served_model):
-    direct_report = build_service(served_model).explore("atax", budget=0.4)
-
-    async def run():
-        async with AsyncPowerGateway(build_service(served_model)) as gateway:
-            return await gateway.explore("atax", budget=0.4)
-
-    report = asyncio.run(run())
-    assert report.adrs == direct_report.adrs
-    assert report.num_candidates == direct_report.num_candidates
-    assert [d.directives for d in report.frontier] == [
-        d.directives for d in direct_report.frontier
-    ]
 
 
 def test_backpressure_fast_fails_without_deadlock():

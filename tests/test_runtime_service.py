@@ -205,6 +205,34 @@ def test_persistent_cache_survives_service_restart(served_model, atax_requests, 
     assert persistent["hit_rate"] > 0
 
 
+def test_disk_tier_sync_is_timed_as_stage_and_span(served_model, atax_requests, tmp_path):
+    """The per-batch disk-tier sync is visible: one fresh ``estimate_many``
+    records one ``cache_sync`` stage observation and one ``cache.sync`` span;
+    a service without a disk tier records neither."""
+
+    def walk(span: dict):
+        yield span
+        for child in span.get("children", []):
+            yield from walk(child)
+
+    def sync_spans(service) -> list[dict]:
+        return [
+            span
+            for trace in service.obs.tracer.recent()
+            for span in walk(trace["root"])
+            if span["name"] == "cache.sync"
+        ]
+
+    with build_service(served_model, persistent_cache_dir=tmp_path / "disk") as service:
+        service.estimate_many(atax_requests)
+        assert service.obs.stage_seconds.snapshot()["cache_sync"]["count"] == 1
+        assert len(sync_spans(service)) == 1
+    with build_service(served_model) as service:
+        service.estimate_many(atax_requests)
+        assert "cache_sync" not in service.obs.stage_seconds.snapshot()
+        assert sync_spans(service) == []
+
+
 def test_explore_runs_on_the_runtime(served_model, tmp_path):
     """`explore` featurises its candidate space through the runtime-backed path."""
     with build_service(

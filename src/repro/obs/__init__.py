@@ -83,7 +83,8 @@ class Observability:
     ``repro_stage_seconds{stage}``            featurise / predict /
                                               cache_memory / cache_disk /
                                               cache_sync (the disk tier's
-                                              per-batch index write) /
+                                              per-batch journal append, or
+                                              a compaction) /
                                               batch_flush / pool_dispatch
                                               stage latencies
     ``repro_cache_requests_total{...}``       hit/miss per cache kind and tier

@@ -12,8 +12,10 @@ arrays bit-for-bit.
 
 Layout::
 
-    <dir>/index.json            # entry metadata + costs + logical recency
+    <dir>/index.json            # snapshot: entry metadata + costs + logical recency
+    <dir>/journal.jsonl         # one JSON line per put or removal since the snapshot
     <dir>/samples/<key>.npz     # one featurised GraphSample per entry
+    <dir>/owner.lock            # the owner's advisory lock
 
 Predicted powers are single floats and live in the index itself.
 
@@ -24,32 +26,55 @@ breaks ties).  DSE traffic makes the difference: a frontier neighbourhood of
 expensive-to-featurise designs stays resident even when a sweep of cheap
 one-off designs floods the cache.
 
+Durable index state is a snapshot plus an append-only journal — the
+log-structured idea (Rosenblum & Ousterhout, TOCS 1992) at the scale of one
+index — so a request batch's durable write costs bytes in proportion to the
+batch, not to the index:
+
+* every put queues one journal line carrying the whole entry, and every
+  removal (an eviction, a dropped corrupt ``.npz``) one line naming the key.
+  :meth:`PersistentCache.sync` (the service calls it once per request batch)
+  appends the queued lines with one ``os.write`` on an ``O_APPEND``
+  descriptor, and so does any mutation that brings the queue to
+  ``MAX_QUEUED_LINES``.  A crash loses at most the last ``MAX_QUEUED_LINES``
+  mutations' metadata; sample files no replayed entry names are
+  garbage-collected on the next open;
+* flush policy: nothing calls ``fsync``.  An append or a compaction is in the
+  kernel's page cache once its call returns, so it survives the death of the
+  process (SIGKILL, OOM kill), not the loss of the machine's power — a cache
+  tier re-derives whatever that loses;
+* reads never write: recency and hit counters live in memory and reach disk
+  only with a compaction;
+* opening loads the snapshot, then replays the journal in order and stops at
+  the first line that does not parse or lacks its newline (a torn append).
+  The owner truncates the journal to the last good byte, so its next append
+  does not land behind the torn line;
+* compaction writes the snapshot through a temp file and ``os.replace``, then
+  truncates the journal.  It runs in :meth:`~PersistentCache.sync` only when
+  superseded records outnumber live entries, and in
+  :meth:`~PersistentCache.close`.  A crash between the rename and the truncate
+  replays the old journal over the new snapshot; put records carry whole
+  entries, so that replay yields the same entries.
+
 Notes:
 
 * only the JSON-safe subset of ``extras`` survives the disk round trip
   (heavyweight pipeline objects such as HLS reports are dropped, exactly as
   in :meth:`repro.graph.dataset.GraphDataset.save_npz`); the serving path
   never reads them;
-* index writes are atomic (temp file + ``os.replace``) and batched: the
-  index is rewritten after every ``sync_every`` index touches and on explicit
-  :meth:`sync`, which persists pending *mutations* (the service syncs after
-  each request batch and on close; pure recency bumps from reads ride the
-  backstop instead), so steady traffic does not pay an O(index) JSON dump per
-  design.  A crash loses at most the last ``sync_every`` entries' metadata;
-  sample files the index does not know about are garbage-collected on the
-  next open.
 * the directory has exactly one *owner* at a time, claimed by holding a
   kernel advisory lock (``flock``) on ``owner.lock``.  A second cache
   opened on the same directory degrades to **read-only** with a warning:
-  it serves hits but never writes samples, never rewrites ``index.json``
-  and never garbage-collects — without this, two services sharing a
-  directory would GC each other's freshly written (not yet synced)
-  samples as strays and last-writer-win each other's index.  ``flock`` is
-  kernel-tracked per open file description, so a crashed owner's lock
-  releases automatically (no stale-lock staleness probing, no takeover
-  races) and two caches in one process still conflict correctly;
-  :meth:`close` releases ownership.  The file's content (the owner's pid)
-  is informational only, for the read-only warning.
+  it serves hits but never writes samples, never appends to or truncates
+  the journal, never rewrites ``index.json`` and never garbage-collects —
+  without this, two services sharing a directory would GC each other's
+  freshly written (not yet synced) samples as strays and interleave each
+  other's records.  ``flock`` is kernel-tracked per open file description,
+  so a crashed owner's lock releases automatically (no stale-lock staleness
+  probing, no takeover races) and two caches in one process still conflict
+  correctly; :meth:`~PersistentCache.close` releases ownership.  The file's
+  content (the owner's pid) is informational only, for the read-only
+  warning.
 """
 
 from __future__ import annotations
@@ -66,8 +91,16 @@ from repro.graph.dataset import GraphDataset, GraphSample
 PERSISTENT_FORMAT_VERSION = 1
 
 INDEX_NAME = "index.json"
+JOURNAL_NAME = "journal.jsonl"
 SAMPLES_DIR = "samples"
 OWNER_LOCK_NAME = "owner.lock"
+
+#: Journal lines a mutation may leave queued in memory; the one that brings
+#: the queue to this length appends it without waiting for ``sync()``.  This
+#: is the crash bound: a crash loses at most this many mutations' metadata.
+MAX_QUEUED_LINES = 64
+
+_TABLES = ("samples", "predictions")
 
 
 class PersistentCache:
@@ -79,45 +112,49 @@ class PersistentCache:
         *,
         max_bytes: int = 256 * 1024 * 1024,
         max_predictions: int = 1_000_000,
-        sync_every: int = 64,
     ) -> None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be >= 1")
         if max_predictions < 1:
             raise ValueError("max_predictions must be >= 1")
-        if sync_every < 1:
-            raise ValueError("sync_every must be >= 1")
         self.directory = Path(directory)
         self.max_bytes = max_bytes
         self.max_predictions = max_predictions
-        self.sync_every = sync_every
         self._lock = threading.RLock()
-        self._dirty = 0
-        self._touched = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.io_errors = 0
+        self.journal_bytes = 0
+        self.compactions = 0
         self.read_only = False
         self._owns_lock = False
         self._lock_fd: int | None = None
+        self._journal_fd: int | None = None
+        #: Bytes of whole records in the journal file (owner's view).
+        self._journal_size = 0
+        #: Journal lines not yet appended.
+        self._queued: list[str] = []
+        #: Records a replay reads: snapshot entries + journal lines, queued
+        #: ones included.  Those beyond the live entries are superseded.
+        self._records = 0
         self._acquire_ownership()
-        self._index = self._load_index()
+        self._index = self._open_store()
 
     # --------------------------------------------------------------- ownership
 
     def _acquire_ownership(self) -> None:
         """Claim the directory's advisory owner lock, or degrade to read-only.
 
-        Ownership gates every destructive operation (sample/index writes,
-        eviction, stray GC): exactly one process may mutate the store, so
-        concurrent openers can still *read* the warm set without clobbering
-        the owner's writes.  The claim is a non-blocking ``flock`` held for
-        the cache's lifetime: kernel-tracked, so a crashed owner's lock
-        releases automatically (no staleness heuristics, no
-        delete-and-reclaim races — at most one open file description holds
-        it) and the never-unlinked lock file cannot be swapped out from
-        under a holder.
+        Ownership gates every destructive operation (sample writes, journal
+        appends and truncation, compaction, eviction, stray GC): exactly one
+        process may mutate the store, so concurrent openers can still *read*
+        the warm set without clobbering the owner's writes.  The claim is a
+        non-blocking ``flock`` held for the cache's lifetime: kernel-tracked,
+        so a crashed owner's lock releases automatically (no staleness
+        heuristics, no delete-and-reclaim races — at most one open file
+        description holds it) and the never-unlinked lock file cannot be
+        swapped out from under a holder.
         """
         lock_path = self.directory / OWNER_LOCK_NAME
         try:
@@ -168,26 +205,29 @@ class PersistentCache:
         )
 
     def close(self) -> None:
-        """Persist pending mutations, release ownership, become read-only.
+        """Compact the index, release ownership, become read-only.
 
-        Idempotent.  After close the cache still serves reads (a closed
-        service keeps answering on its degraded path) but never writes —
-        the released directory may already belong to another process.
+        The compaction folds the journal, the queued lines and the in-memory
+        recency into the snapshot.  Idempotent.  After close the cache still
+        serves reads (a closed service keeps answering on its degraded path)
+        but never writes — the released directory may already belong to
+        another process.
         """
         with self._lock:
-            if self._dirty and not self.read_only:
-                self._save_index()
-            if self._owns_lock:
-                self._owns_lock = False
-                fd, self._lock_fd = self._lock_fd, None
+            if not self.read_only:
+                self._compact()
+            # Closing the lock fd releases the flock; the lock file itself
+            # stays (unlink-and-recreate would reopen the two-owner race this
+            # lock exists to prevent).
+            fds = (self._journal_fd, self._lock_fd)
+            self._journal_fd = self._lock_fd = None
+            for fd in fds:
                 if fd is not None:
                     try:
-                        # Closing the fd releases the flock; the lock file
-                        # itself stays (unlink-and-recreate would reopen the
-                        # two-owner race this lock exists to prevent).
                         os.close(fd)
                     except OSError:
                         self.io_errors += 1
+            self._owns_lock = False
             self.read_only = True
 
     # ----------------------------------------------------------------- samples
@@ -199,19 +239,16 @@ class PersistentCache:
             if entry is None:
                 self.misses += 1
                 return None
-            path = self._sample_path(key)
             try:
-                sample = GraphDataset.load_npz(path).samples[0]
+                sample = GraphDataset.load_npz(self._sample_path(key)).samples[0]
             except (OSError, ValueError, KeyError, IndexError, json.JSONDecodeError):
                 # A corrupt or missing file is dropped, never served.
-                del self._index["samples"][key]
-                self._unlink_quietly(path)
-                self._mark_dirty()
+                self._remove("samples", key)
+                self._append_if_full()
                 self.misses += 1
                 return None
             entry["last_used"] = self._tick()
             entry["hits"] = entry.get("hits", 0) + 1
-            self._touch()
             self.hits += 1
             return sample
 
@@ -239,14 +276,14 @@ class PersistentCache:
                 self.io_errors += 1
                 self._unlink_quietly(staging)
                 return
-            self._index["samples"][key] = {
+            self._put("samples", key, {
                 "cost_seconds": float(cost_seconds),
                 "size_bytes": path.stat().st_size,
                 "last_used": self._tick(),
                 "hits": 0,
-            }
+            })
             self._evict_to_budget()
-            self._mark_dirty()
+            self._append_if_full()
 
     # -------------------------------------------------------------- predictions
 
@@ -258,7 +295,6 @@ class PersistentCache:
                 return None
             entry["last_used"] = self._tick()
             entry["hits"] = entry.get("hits", 0) + 1
-            self._touch()
             self.hits += 1
             return float(entry["value"])
 
@@ -266,20 +302,20 @@ class PersistentCache:
         with self._lock:
             if self.read_only:
                 return
-            self._index["predictions"][key] = {
+            self._put("predictions", key, {
                 "value": float(value),
                 "cost_seconds": float(cost_seconds),
                 "last_used": self._tick(),
                 "hits": 0,
-            }
+            })
             predictions = self._index["predictions"]
             overflow = len(predictions) - self.max_predictions
             if overflow > 0:
                 victims = sorted(predictions, key=lambda k: self._score(predictions[k]))
                 for victim in victims[:overflow]:
-                    del predictions[victim]
+                    self._remove("predictions", victim)
                     self.evictions += 1
-            self._mark_dirty()
+            self._append_if_full()
 
     # ------------------------------------------------------------------- stats
 
@@ -292,6 +328,8 @@ class PersistentCache:
             return len(self._index["samples"]) + len(self._index["predictions"])
 
     def stats(self) -> dict:
+        """Counters since open; ``journal_bytes`` and ``compactions`` are the
+        disk tier's write cost (bytes appended, snapshots written)."""
         with self._lock:
             requests = self.hits + self.misses
             return {
@@ -304,31 +342,111 @@ class PersistentCache:
                 "predictions": len(self._index["predictions"]),
                 "sample_bytes": self.total_sample_bytes(),
                 "read_only": self.read_only,
+                "journal_bytes": self.journal_bytes,
+                "compactions": self.compactions,
             }
 
     def sync(self) -> None:
-        """Persist pending *mutations* (new/removed entries) to the index file.
+        """Make every queued mutation durable.
 
-        Pure recency/hit-counter bumps from reads do not count as pending —
-        they persist via the ``sync_every`` backstop — so a read-heavy request
-        batch does not pay an O(index) JSON dump on its per-batch sync.
+        Appends the queued journal lines, or compacts instead when superseded
+        records outnumber live entries.  Reads queue nothing, so a read-only
+        request batch writes nothing.
         """
         with self._lock:
-            if self._dirty:
-                self._save_index()
+            if self.read_only or not self._queued:
+                return
+            live = len(self)
+            if self._records - live > live:
+                self._compact()
+            else:
+                self._append()
 
     # --------------------------------------------------------------- internals
 
-    def _mark_dirty(self) -> None:
-        """Caller holds the lock: an entry was added or removed."""
-        self._dirty += 1
-        self._touch()
+    def _put(self, table: str, key: str, entry: dict) -> None:
+        """Caller holds the lock and owns the store: set one entry, journal it."""
+        self._index[table][key] = entry
+        self._journal({"op": "put", "table": table, "key": key, "entry": entry})
 
-    def _touch(self) -> None:
-        """Caller holds the lock: bookkeeping changed (recency, counters)."""
-        self._touched += 1
-        if self._touched >= self.sync_every:
-            self._save_index()
+    def _remove(self, table: str, key: str) -> None:
+        """Caller holds the lock: drop one entry (and its sample file).
+
+        Only the owner journals the removal; a read-only opener forgets the
+        entry in memory.
+        """
+        del self._index[table][key]
+        if table == "samples":
+            self._unlink_quietly(self._sample_path(key))
+        if not self.read_only:
+            self._journal({"op": "del", "table": table, "key": key})
+
+    def _journal(self, record: dict) -> None:
+        self._queued.append(json.dumps(record, separators=(",", ":")) + "\n")
+        self._records += 1
+
+    def _append_if_full(self) -> None:
+        if len(self._queued) >= MAX_QUEUED_LINES:
+            self._append()
+
+    def _append(self) -> None:
+        """Caller holds the lock and owns the store: write the queued lines
+        with one ``os.write``.  Best-effort: on failure the lines stay queued
+        for the next attempt, and a partly written record is cut off, since
+        the next append would land behind it and a replay stops there."""
+        if not self._queued:
+            return
+        data = "".join(self._queued).encode("utf-8")
+        try:
+            if self._journal_fd is None:
+                self._journal_fd = os.open(
+                    self.directory / JOURNAL_NAME,
+                    os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                    0o644,
+                )
+            if os.write(self._journal_fd, data) != len(data):
+                raise OSError("short write to the journal")
+        except OSError:
+            self.io_errors += 1
+            if self._journal_fd is not None:
+                try:
+                    os.ftruncate(self._journal_fd, self._journal_size)
+                except OSError:
+                    pass
+            return
+        self._journal_size += len(data)
+        self.journal_bytes += len(data)
+        self._queued.clear()
+
+    def _compact(self) -> None:
+        """Caller holds the lock and owns the store: append the queued lines,
+        write the snapshot, then truncate the journal.
+
+        The append comes first so the journal a crash between the rename and
+        the truncate leaves behind holds every record the new snapshot does:
+        replaying it ends each key it names at that key's snapshot entry.
+        """
+        self._append()
+        try:
+            path = self.directory / INDEX_NAME
+            staging = path.with_suffix(".tmp")
+            with open(staging, "w", encoding="utf-8") as handle:
+                json.dump(self._index, handle)
+            os.replace(staging, path)
+        except OSError:
+            self.io_errors += 1
+            return
+        self._queued.clear()
+        self._records = len(self)
+        self.compactions += 1
+        if self._journal_size:
+            try:
+                os.truncate(self.directory / JOURNAL_NAME, 0)
+                self._journal_size = 0
+            except OSError:
+                # The old records stay and replay idempotently over the new
+                # snapshot; the next compaction retries the truncate.
+                self.io_errors += 1
 
     @staticmethod
     def _score(entry: dict) -> tuple[float, int]:
@@ -344,8 +462,7 @@ class PersistentCache:
             if total <= self.max_bytes:
                 break
             total -= samples[victim]["size_bytes"]
-            del samples[victim]
-            self._unlink_quietly(self._sample_path(victim))
+            self._remove("samples", victim)
             self.evictions += 1
 
     def _sample_path(self, key: str) -> Path:
@@ -355,45 +472,101 @@ class PersistentCache:
         self._index["clock"] += 1
         return self._index["clock"]
 
-    def _load_index(self) -> dict:
-        empty = {
+    @staticmethod
+    def _empty_index() -> dict:
+        return {
             "format_version": PERSISTENT_FORMAT_VERSION,
             "clock": 0,
             "samples": {},
             "predictions": {},
         }
-        path = self.directory / INDEX_NAME
-        if not path.is_file():
-            return empty
+
+    @staticmethod
+    def _read_snapshot(path: Path) -> dict | None:
+        """The snapshot at ``path``, or ``None`` when it is corrupt or of
+        another format version."""
         try:
             with open(path, encoding="utf-8") as handle:
                 index = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return empty
-        if index.get("format_version") != PERSISTENT_FORMAT_VERSION:
-            return empty
-        for field in ("samples", "predictions"):
-            if not isinstance(index.get(field), dict):
-                return empty
+        except (OSError, ValueError):
+            return None
+        if not isinstance(index, dict) or index.get("format_version") != PERSISTENT_FORMAT_VERSION:
+            return None
+        if not all(isinstance(index.get(table), dict) for table in _TABLES):
+            return None
         index.setdefault("clock", 0)
-        # Entries whose backing file vanished (partial copy, manual cleanup)
-        # must not be advertised.
+        return index
+
+    @staticmethod
+    def _replay(data: bytes, index: dict) -> tuple[int, int]:
+        """Apply journal records to ``index`` in order, stopping at the first
+        line that lacks its newline or is not a record.  Returns ``(records
+        applied, bytes they span)``."""
+        applied = good = 0
+        while (end := data.find(b"\n", good)) >= 0:
+            try:
+                _apply_record(index, json.loads(data[good:end]))
+            except (ValueError, TypeError, KeyError):
+                break
+            applied += 1
+            good = end + 1
+        return applied, good
+
+    def _open_store(self) -> dict:
+        """Load the snapshot, replay the journal, then filter and collect.
+
+        A corrupt or foreign-format snapshot discards the whole store: the
+        journal's records are relative to it.  The owner then compacts the
+        empty view over it, so its own later appends replay on the next open.
+        """
+        index = self._empty_index()
+        snapshot = self.directory / INDEX_NAME
+        journal = self.directory / JOURNAL_NAME
+        usable = True
+        if snapshot.is_file():
+            loaded = self._read_snapshot(snapshot)
+            usable = loaded is not None
+            if usable:
+                index = loaded
+        self._records = len(index["samples"]) + len(index["predictions"])
+        try:
+            data = journal.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        except OSError:
+            self.io_errors += 1
+            data = b""
+        applied, good = self._replay(data, index) if usable else (0, 0)
+        self._records += applied
+        if not self.read_only and good < len(data):
+            # Cut the torn tail (or a discarded snapshot's records), or the
+            # next append lands behind it and the next replay stops there.
+            try:
+                os.truncate(journal, good)
+            except OSError:
+                self.io_errors += 1
+        self._journal_size = good
+        # Entries whose backing file vanished (partial copy, manual cleanup,
+        # an eviction whose removal record was lost) must not be advertised.
         index["samples"] = {
             key: entry
             for key, entry in index["samples"].items()
             if self._sample_path(key).is_file()
         }
-        # And sample files the index does not know about (writes after the
-        # last sync before a crash, staging leftovers) are garbage, not cache:
-        # without an entry they can never be served, so reclaim the bytes.
-        # Owner-only: to a read-only opener a stray may simply be the live
-        # owner's freshly written, not-yet-synced sample.
+        # And sample files no entry names (writes whose records were lost in
+        # a crash, staging leftovers) are garbage, not cache: without an
+        # entry they can never be served, so reclaim the bytes.  Owner-only:
+        # to a read-only opener a stray may simply be the live owner's freshly
+        # written, not-yet-synced sample.
         samples_dir = self.directory / SAMPLES_DIR
         if not self.read_only and samples_dir.is_dir():
             known = {f"{key}.npz" for key in index["samples"]}
             for stray in samples_dir.iterdir():
                 if stray.name not in known:
                     self._unlink_quietly(stray)
+        if not usable and not self.read_only:
+            self._index = index
+            self._compact()
         return index
 
     def _unlink_quietly(self, path: Path) -> None:
@@ -406,27 +579,20 @@ class PersistentCache:
         except OSError:
             self.io_errors += 1
 
-    def _save_index(self) -> None:
-        """Caller holds the lock.  Best-effort: a failed write keeps the
-        pending counters so the next sync retries — cache-tier disk trouble
-        must never fail a lookup (reads trigger backstop saves too).
-        Owner-only: a read-only opener rewriting ``index.json`` would
-        last-writer-win the owner's entries away."""
-        if self.read_only:
-            self._touched = 0
-            return
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            path = self.directory / INDEX_NAME
-            staging = path.with_suffix(".tmp")
-            with open(staging, "w", encoding="utf-8") as handle:
-                json.dump(self._index, handle)
-            os.replace(staging, path)
-        except OSError:
-            self.io_errors += 1
-            # Reset the touch counter so a read-heavy stretch does not retry
-            # the failed dump on every single lookup.
-            self._touched = 0
-            return
-        self._dirty = 0
-        self._touched = 0
+
+def _apply_record(index: dict, record) -> None:
+    """Replay one journal record onto ``index``.  Raises ``ValueError``,
+    ``TypeError`` or ``KeyError`` on anything but a well-formed record, before
+    changing ``index``."""
+    table, key = record["table"], record["key"]
+    if table not in _TABLES or not isinstance(key, str):
+        raise ValueError(f"not a journal record: {record!r}")
+    if record["op"] == "put":
+        entry = record["entry"]
+        last_used = int(entry["last_used"])
+        index[table][key] = entry
+        index["clock"] = max(index["clock"], last_used)
+    elif record["op"] == "del":
+        index[table].pop(key, None)
+    else:
+        raise ValueError(f"not a journal record: {record!r}")

@@ -731,9 +731,9 @@ class PowerEstimationService:
             predictions, prediction_hits, served = self._predict_samples(
                 samples, plan=plan
             )
-            # One amortised index write per request batch (the disk tier
-            # also self-syncs every `sync_every` mutations within huge
-            # batches).
+            # One journal append per request batch, in bytes proportional
+            # to the batch (the disk tier also appends on its own once
+            # `MAX_QUEUED_LINES` records are queued within huge batches).
             self._sync_disk_tier()
             span.set_attribute("feature_hits", int(sum(feature_hits)))
             span.set_attribute("prediction_hits", int(sum(prediction_hits)))
@@ -932,8 +932,9 @@ class PowerEstimationService:
     # --------------------------------------------------------------- internals
 
     def _sync_disk_tier(self) -> None:
-        """Persist the disk tier's pending index, timed as stage ``cache_sync``
-        under a ``cache.sync`` span (a no-op without a disk tier)."""
+        """Append the disk tier's queued journal records (or compact it),
+        timed as stage ``cache_sync`` under a ``cache.sync`` span (a no-op
+        without a disk tier)."""
         persistent = self.cache.persistent
         if persistent is None:
             return

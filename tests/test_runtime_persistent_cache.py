@@ -1,12 +1,22 @@
 """Tests for the on-disk cost-aware cache tier."""
 
+import itertools
+import multiprocessing
 import os
+import signal
+import time
 
 import pytest
 
 from repro.graph.dataset import GraphSample
 from repro.runtime import PersistentCache
-from repro.runtime.cache import INDEX_NAME, OWNER_LOCK_NAME, SAMPLES_DIR
+from repro.runtime.cache import (
+    INDEX_NAME,
+    JOURNAL_NAME,
+    MAX_QUEUED_LINES,
+    OWNER_LOCK_NAME,
+    SAMPLES_DIR,
+)
 from repro.serve.cache import InferenceCache, sample_fingerprint
 
 
@@ -30,6 +40,30 @@ def samples(random_graph_factory):
 
 def keyed(samples):
     return [(f"key{i:02d}", sample) for i, sample in enumerate(samples)]
+
+
+def abandon(cache):
+    """Drop an owner the way a crash does: its descriptors close (which
+    releases the flock), nothing is compacted and queued lines are lost."""
+    for fd in (cache._journal_fd, cache._lock_fd):
+        if fd is not None:
+            os.close(fd)
+
+
+def journal_lines(directory) -> int:
+    journal = directory / JOURNAL_NAME
+    return journal.read_bytes().count(b"\n") if journal.exists() else 0
+
+
+def entries(cache) -> dict:
+    """What a replay must reproduce: per table, key -> (value, cost_seconds)."""
+    return {
+        table: {
+            key: (entry.get("value"), entry["cost_seconds"])
+            for key, entry in cache._index[table].items()
+        }
+        for table in ("samples", "predictions")
+    }
 
 
 def test_validates_configuration(tmp_path):
@@ -133,6 +167,25 @@ def test_corrupt_index_starts_empty(tmp_path, samples):
     assert reopened.get_sample(key) is None
 
 
+def test_corrupt_snapshot_discards_its_journal_and_is_replaced(tmp_path, samples):
+    """The journal's records are relative to the snapshot: with the snapshot
+    unreadable the owner starts empty and writes a fresh one, so its own
+    later appends are replayed on the next open."""
+    directory = tmp_path / "store"
+    cache = PersistentCache(directory)
+    cache.put_sample("key00", samples[0], cost_seconds=1.0)
+    cache.sync()
+    abandon(cache)
+    (directory / INDEX_NAME).write_text("{broken json", encoding="utf-8")
+    owner = PersistentCache(directory)
+    assert len(owner) == 0
+    assert not (directory / SAMPLES_DIR / "key00.npz").exists()
+    owner.put_prediction("p", 1.0)
+    owner.sync()
+    abandon(owner)
+    assert PersistentCache(directory).get_prediction("p") == 1.0
+
+
 def test_index_entries_without_files_are_filtered_on_load(tmp_path, samples):
     directory = tmp_path / "store"
     cache = PersistentCache(directory)
@@ -146,20 +199,35 @@ def test_index_entries_without_files_are_filtered_on_load(tmp_path, samples):
     assert reopened.get_sample(pairs[1][0]) is not None
 
 
-def test_index_writes_are_batched_with_a_backstop(tmp_path, samples):
-    """The index is rewritten on sync() and every `sync_every` mutations."""
+def test_index_writes_are_batched_with_a_backstop(tmp_path):
+    """Mutations queue journal lines: nothing is appended before the first
+    sync() or the MAX_QUEUED_LINES-th queued line, and after either all of
+    it is.  Appends never rewrite the snapshot, and reads queue nothing."""
     directory = tmp_path / "store"
-    cache = PersistentCache(directory, sync_every=3)
-    cache.put_sample("key00", samples[0], cost_seconds=1.0)
-    assert not (directory / INDEX_NAME).exists()  # 1 mutation: batched
-    cache.put_sample("key01", samples[1], cost_seconds=1.0)
-    cache.put_sample("key02", samples[2], cost_seconds=1.0)
-    assert (directory / INDEX_NAME).is_file()  # backstop kicked in
-    cache.put_prediction("p", 1.0)
-    cache.sync()  # explicit sync persists the pending mutation
+    cache = PersistentCache(directory)
+    cache.put_prediction("first", 0.0)
+    assert journal_lines(directory) == 0  # 1 mutation: queued
+    cache.sync()
+    assert journal_lines(directory) == 1
+    for index in range(MAX_QUEUED_LINES - 1):
+        cache.put_prediction(f"p{index}", float(index))
+    assert journal_lines(directory) == 1  # one short of the backstop
+    cache.put_prediction("backstop", 1.0)
+    assert journal_lines(directory) == 1 + MAX_QUEUED_LINES  # backstop kicked in
+    cache.put_prediction("late", 2.0)
+    cache.get_prediction("late")
+    cache.sync()  # explicit sync appends the pending mutation, not the read
+    assert journal_lines(directory) == 2 + MAX_QUEUED_LINES
+    cache.sync()
+    assert journal_lines(directory) == 2 + MAX_QUEUED_LINES
+    assert not (directory / INDEX_NAME).exists()
+    stats = cache.stats()
+    assert stats["journal_bytes"] == (directory / JOURNAL_NAME).stat().st_size
+    assert stats["compactions"] == 0
+    abandon(cache)
     reopened = PersistentCache(directory)
-    assert reopened.get_prediction("p") == 1.0
-    assert len(reopened) == 4
+    assert reopened.get_prediction("late") == 2.0
+    assert len(reopened) == 2 + MAX_QUEUED_LINES
 
 
 def test_unsynced_sample_files_are_garbage_collected_on_open(tmp_path, samples):
@@ -178,6 +246,128 @@ def test_unsynced_sample_files_are_garbage_collected_on_open(tmp_path, samples):
     assert reopened.get_sample("key00") is not None
     assert reopened.get_sample("key01") is None
     assert not (directory / SAMPLES_DIR / "key01.npz").exists()
+
+
+def _put_then_wait_to_be_killed(directory, samples, ready) -> None:
+    cache = PersistentCache(directory)
+    for key, sample in keyed(samples)[:3]:
+        cache.put_sample(key, sample, cost_seconds=1.0)
+    cache.put_prediction("p", 0.5, cost_seconds=0.1)
+    cache.sync()
+    cache.put_sample("unsynced", samples[3], cost_seconds=1.0)
+    ready.send(True)
+    time.sleep(60)
+
+
+def test_sigkilled_owner_keeps_every_synced_entry(tmp_path, samples):
+    """A real SIGKILL after a synced batch and one unsynced put: the reopened
+    store serves the batch bit for bit and collects the unsynced file."""
+    directory = tmp_path / "store"
+    context = multiprocessing.get_context("fork")
+    ready, child_end = context.Pipe()
+    child = context.Process(
+        target=_put_then_wait_to_be_killed, args=(directory, samples, child_end)
+    )
+    child.start()
+    try:
+        assert ready.poll(60), "the child never finished its writes"
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(timeout=30)
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=30)
+    assert child.exitcode == -signal.SIGKILL
+    assert (directory / SAMPLES_DIR / "unsynced.npz").is_file()  # written, not journaled
+
+    reopened = PersistentCache(directory)
+    assert not reopened.read_only
+    for key, sample in keyed(samples)[:3]:
+        assert sample_fingerprint(reopened.get_sample(key)) == sample_fingerprint(sample)
+    assert reopened.get_prediction("p") == 0.5
+    assert reopened.get_sample("unsynced") is None
+    assert not (directory / SAMPLES_DIR / "unsynced.npz").exists()
+
+
+def test_torn_journal_tail_is_dropped_and_cut_off(tmp_path, samples):
+    """A half-written last record is skipped on replay, and the owner cuts it
+    off so its own next append survives the next reopen."""
+    directory = tmp_path / "store"
+    journal = directory / JOURNAL_NAME
+    cache = PersistentCache(directory)
+    for key, sample in keyed(samples)[:3]:
+        cache.put_sample(key, sample, cost_seconds=1.0)
+    cache.put_prediction("p", 0.5)
+    cache.sync()
+    abandon(cache)
+    good = journal.read_bytes()
+    record = good.splitlines(keepends=True)[-1]
+    journal.write_bytes(good + record[: len(record) // 2])
+
+    reopened = PersistentCache(directory)
+    for key, sample in keyed(samples)[:3]:
+        assert sample_fingerprint(reopened.get_sample(key)) == sample_fingerprint(sample)
+    assert reopened.get_prediction("p") == 0.5
+    reopened.put_prediction("q", 0.25)
+    reopened.sync()
+    abandon(reopened)
+
+    again = PersistentCache(directory)
+    assert again.get_prediction("q") == 0.25
+    assert len(again) == 5
+
+
+def test_compaction_bounds_the_journal_and_replays_idempotently(
+    tmp_path, samples, monkeypatch
+):
+    """Re-putting one key compacts whenever superseded records outnumber live
+    entries; a reopen, and a crash between the snapshot's rename and the
+    journal's truncate, both replay to the in-memory view."""
+    directory = tmp_path / "store"
+    journal = directory / JOURNAL_NAME
+    truncated = []  # the journal as each compaction's truncate found it
+    truncate = os.truncate
+
+    def recording_truncate(path, length):
+        truncated.append(journal.read_bytes())
+        truncate(path, length)
+
+    monkeypatch.setattr(os, "truncate", recording_truncate)
+    cache = PersistentCache(directory)
+    for key, sample in keyed(samples)[:3]:
+        cache.put_sample(key, sample, cost_seconds=1.0)
+    for index in range(4):
+        cache.put_prediction(f"p{index}", float(index), cost_seconds=0.5)
+    cache.sync()
+    live = len(cache) + 1  # and "hot"
+    longest = 0
+    # Stop right after a sync that compacted.
+    for round_ in itertools.count():
+        compactions = cache.stats()["compactions"]
+        cache.put_prediction("hot", float(round_), cost_seconds=float(round_))
+        cache.sync()
+        longest = max(longest, journal_lines(directory))
+        if round_ >= 300 and cache.stats()["compactions"] > compactions:
+            break
+    assert cache.stats()["compactions"] >= 1
+    assert longest <= 2 * live + 1
+    assert journal.read_bytes() == b""
+    expected = entries(cache)
+    assert expected["predictions"]["hot"] == (float(round_), float(round_))
+    snapshot = (directory / INDEX_NAME).read_bytes()
+    abandon(cache)
+
+    reopened = PersistentCache(directory)
+    assert entries(reopened) == expected
+    abandon(reopened)
+
+    # Crash between the rename and the truncate: the new snapshot with the
+    # journal it superseded.
+    assert (directory / INDEX_NAME).read_bytes() == snapshot
+    assert len(truncated) == cache.stats()["compactions"]
+    journal.write_bytes(truncated[-1])
+    crashed = PersistentCache(directory)
+    assert entries(crashed) == expected
 
 
 # ------------------------------------------------------ write-error contract
@@ -239,6 +429,7 @@ def test_second_opener_degrades_to_read_only(tmp_path, samples):
     owner.put_sample("key00", samples[0], cost_seconds=1.0)
     owner.sync()
     owner.put_sample("key01", samples[1], cost_seconds=1.0)  # not yet synced
+    journal = (directory / JOURNAL_NAME).read_bytes()
 
     with pytest.warns(RuntimeWarning, match="read-only"):
         reader = PersistentCache(directory)
@@ -252,6 +443,7 @@ def test_second_opener_degrades_to_read_only(tmp_path, samples):
     reader.put_prediction("p", 1.0)
     reader.sync()
     assert not (directory / SAMPLES_DIR / "key02.npz").exists()
+    assert (directory / JOURNAL_NAME).read_bytes() == journal
 
     # The owner's view (including the unsynced entry) survives intact.
     owner.sync()

@@ -19,6 +19,7 @@ from repro.gnn.config import GNNConfig
 from repro.gnn.trainer import TrainingConfig
 from repro.kernels.polybench import polybench_kernel
 from repro.runtime import RuntimeConfig
+from repro.runtime.cache import INDEX_NAME, JOURNAL_NAME
 from repro.serve import EstimateRequest, PowerEstimationService, ServiceMetrics
 
 SERVICE_CONFIG = DatasetConfig(kernel_size=6, designs_per_kernel=10)
@@ -231,6 +232,22 @@ def test_disk_tier_sync_is_timed_as_stage_and_span(served_model, atax_requests, 
         service.estimate_many(atax_requests)
         assert "cache_sync" not in service.obs.stage_seconds.snapshot()
         assert sync_spans(service) == []
+
+
+def test_disk_tier_write_cost_reaches_metrics(served_model, atax_requests, tmp_path):
+    """A fresh batch's sync appends one journal record per put and rewrites
+    no snapshot; ``/metrics`` reports both counters, and close compacts."""
+    cache_dir = tmp_path / "disk"
+    with build_service(served_model, persistent_cache_dir=cache_dir) as service:
+        service.estimate_many(atax_requests)
+        persistent = service.metrics_snapshot()["runtime"]["cache"]["persistent"]
+        journal = cache_dir / JOURNAL_NAME
+        assert persistent["journal_bytes"] == journal.stat().st_size > 0
+        assert journal.read_bytes().count(b"\n") == 2 * len(atax_requests)
+        assert persistent["compactions"] == 0
+        assert not (cache_dir / INDEX_NAME).exists()
+    assert journal.stat().st_size == 0
+    assert (cache_dir / INDEX_NAME).is_file()
 
 
 def test_explore_runs_on_the_runtime(served_model, tmp_path):

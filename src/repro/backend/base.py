@@ -10,8 +10,8 @@ one place and the per-forward op tally sees every call.
 
 There is one kernel set and one process-wide instance of it.  Its
 expressions are the historical numpy ones, so every forward is bitwise
-reproducible by construction: pooled == serial, grouped == per-relation
-loop, cached == fresh.
+reproducible by construction: pooled == serial, cached == fresh, and a
+fused op under ``no_grad`` == the composed ops that autograd records.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ class BackendStats:
     scatter_adds: int = 0
     gathers: int = 0
     fused_add_relu: int = 0
-    grouped_matmuls: int = 0
-    grouped_scatter_adds: int = 0
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -55,8 +53,6 @@ class BackendStats:
         "scatter_adds",
         "gathers",
         "fused_add_relu",
-        "grouped_matmuls",
-        "grouped_scatter_adds",
     )
 
     def merge(self, tally: dict[str, int]) -> None:
@@ -174,69 +170,6 @@ class ArrayBackend:
             flat_index, weights=values.ravel(), minlength=num_segments * columns
         )
         return flat.reshape(num_segments, columns)
-
-    def grouped_matmul(
-        self, values: np.ndarray, weights: np.ndarray, offsets: np.ndarray
-    ) -> np.ndarray:
-        """Per-relation-block matmul over a relation-sorted row layout.
-
-        ``values`` is ``(E, d_in)`` with rows grouped by relation (the layout
-        :meth:`repro.gnn.base.GraphBatch.relation_groups` produces),
-        ``weights`` is the batched ``(R, d_in, d_out)`` relation-weight block
-        and ``offsets`` is the ``(R + 1,)`` cumulative bucket boundary vector:
-        relation ``r`` owns rows ``offsets[r]:offsets[r + 1]``.
-
-        The reference loops relation blocks and *assigns* each block's fresh
-        matmul result into the output (never ``out=`` — BLAS results written
-        into caller-provided buffers are not bitwise-stable), so every output
-        row equals the corresponding per-relation ``block @ weights[r]`` row
-        of the historical per-relation loop bit for bit (GEMM results are
-        row-independent).  Empty relations contribute nothing, exactly like
-        the loop's ``continue``.
-        """
-        self._count("grouped_matmuls")
-        out = np.empty(
-            (values.shape[0], weights.shape[2]),
-            dtype=np.result_type(values.dtype, weights.dtype),
-        )
-        for relation in range(weights.shape[0]):
-            lo, hi = int(offsets[relation]), int(offsets[relation + 1])
-            if lo == hi:
-                continue
-            out[lo:hi] = values[lo:hi] @ weights[relation]
-        return out
-
-    def scatter_add_grouped(
-        self,
-        values: np.ndarray,
-        destinations: np.ndarray,
-        offsets: np.ndarray,
-        num_segments: int,
-    ) -> np.ndarray:
-        """Sum relation-grouped rows into segments, accumulating relation blocks
-        in relation order.
-
-        Mirrors the historical per-relation aggregation loop exactly: each
-        non-empty relation block runs one :meth:`scatter_add` over its own
-        slice of ``destinations`` and the per-relation sums chain through
-        sequential ``+`` in relation order — the same floating-point
-        expression tree, so the result is bitwise-identical to the loop.
-        ``destinations`` must be stably sorted within each relation block by
-        (destination, original edge id): per-destination contributions then
-        arrive in original edge order, which is what keeps each relation's
-        ``scatter_add`` bitwise-equal to the unsorted historical one.
-        """
-        self._count("grouped_scatter_adds")
-        aggregated: np.ndarray | None = None
-        for relation in range(len(offsets) - 1):
-            lo, hi = int(offsets[relation]), int(offsets[relation + 1])
-            if lo == hi:
-                continue
-            summed = self.scatter_add(values[lo:hi], destinations[lo:hi], num_segments)
-            aggregated = summed if aggregated is None else aggregated + summed
-        if aggregated is None:
-            return np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
-        return aggregated
 
     def segment_mean(
         self, values: np.ndarray, index: np.ndarray, num_segments: int

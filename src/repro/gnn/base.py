@@ -11,7 +11,6 @@ Table I isolates the aggregation scheme.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,47 +22,16 @@ from repro.nn.layers import Dropout, Linear, MLP, Module, ReLU, Sequential
 from repro.nn.tensor import Tensor, no_grad
 from repro.utils.rng import spawn_rng
 
-#: Environment switch for the grouped one-GEMM inference path.  Defaults to
-#: on (``auto``); set to ``off`` / ``0`` / ``false`` to force the historical
-#: per-relation loop (e.g. to bisect a suspected grouped-kernel issue).
-GROUPED_ENV_VAR = "REPRO_GROUPED_FORWARD"
-
-
-def grouped_forward_enabled() -> bool:
-    """Whether the grouped-relation forward path may be used at inference."""
-    value = os.environ.get(GROUPED_ENV_VAR, "auto").strip().lower()
-    return value not in ("off", "0", "false", "no")
-
-
-@dataclass(frozen=True)
-class RelationGroups:
-    """Relation-sorted edge layout for the grouped one-GEMM forward.
-
-    ``order`` permutes edges into relation-major order (stable by relation,
-    then destination, then original edge id — the destination/edge-id tie
-    break keeps every destination's accumulation chain in original edge
-    order, which is what makes the grouped scatter bitwise-identical to the
-    historical per-relation loop).  ``offsets`` is the ``(R + 1,)`` cumulative
-    relation histogram delimiting each relation's contiguous block, and
-    ``destinations`` is the destination node id of each edge *in sorted
-    order*.  The layout is built once per batch and shared by every layer
-    and ensemble member that runs on it.
-    """
-
-    order: np.ndarray
-    offsets: np.ndarray
-    destinations: np.ndarray
-
 
 @dataclass
 class GraphBatch:
     """Numpy views of a batched :class:`HeteroGraph` plus tensor wrappers.
 
-    The batch memoises the per-relation edge-id lists: graph structure is
-    immutable during inference, so the ids computed by the first convolution
-    layer of the first model are reused by every later layer — and, when a
-    prepared batch is shared across ensemble members (see
-    :meth:`PowerGNN.predict_prepared`), by every member.
+    The batch memoises the per-relation edge ids and destinations: graph
+    structure is immutable during inference, so the arrays computed by the
+    first convolution layer of the first model are reused by every later
+    layer — and, when a prepared batch is shared across ensemble members
+    (see :meth:`PowerGNN.predict_prepared`), by every member.
     """
 
     node_features: Tensor
@@ -80,9 +48,6 @@ class GraphBatch:
     _relation_destinations: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _relation_groups: dict[int, RelationGroups] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @staticmethod
     def from_graph(
@@ -90,10 +55,10 @@ class GraphBatch:
     ) -> "GraphBatch":
         """Wrap a (possibly packed) graph; optionally precompute bookkeeping.
 
-        With ``num_relations`` given, the relation layout (grouped order,
-        per-relation edge ids and destinations) is materialised eagerly, so
-        the returned batch can be shared across threads or serialised
-        structurally without lazy-init races.
+        With ``num_relations`` given, the per-relation edge ids and
+        destinations are materialised eagerly, so the returned batch can be
+        shared across threads or serialised structurally without lazy-init
+        races.
         """
         metadata = graph.metadata
         if metadata.ndim == 1:
@@ -145,40 +110,12 @@ class GraphBatch:
             self._relation_destinations[key] = destinations
         return destinations
 
-    def relation_groups(self, num_relations: int) -> RelationGroups:
-        """Relation-sorted edge layout, memoised for the batch's lifetime.
-
-        Built once per (batch, relation count): a stable lexicographic sort
-        by (relation, destination, edge id) plus the cumulative relation
-        histogram.  See :class:`RelationGroups` for why this particular sort
-        keeps the grouped kernels bitwise-identical to the per-relation loop.
-        """
-        groups = self._relation_groups.get(num_relations)
-        if groups is None:
-            destinations = np.ascontiguousarray(self.edge_index[1], dtype=np.int64)
-            if num_relations == 1:
-                relations = np.zeros(self.num_edges, dtype=np.int64)
-            else:
-                relations = np.asarray(self.edge_types, dtype=np.int64)
-            order = np.lexsort((np.arange(self.num_edges), destinations, relations))
-            counts = np.bincount(relations, minlength=num_relations)
-            offsets = np.zeros(num_relations + 1, dtype=np.int64)
-            np.cumsum(counts[:num_relations], out=offsets[1:])
-            groups = RelationGroups(
-                order=order,
-                offsets=offsets,
-                destinations=destinations[order],
-            )
-            self._relation_groups[num_relations] = groups
-        return groups
-
     def precompute(self, num_relations: int) -> "GraphBatch":
         """Eagerly materialise all relation bookkeeping (thread-safe reads).
 
         After this, every lazily-memoised structure is populated, so
         concurrent readers only ever *read* the memo dicts.
         """
-        self.relation_groups(num_relations)
         for relation in range(num_relations):
             self.relation_edge_ids(relation, num_relations)
             self.relation_destinations(relation, num_relations)

@@ -26,13 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import active_backend
-from repro.gnn.base import (
-    GraphBatch,
-    PowerGNN,
-    grouped_forward_enabled,
-    num_relations,
-)
+from repro.gnn.base import GraphBatch, PowerGNN, num_relations
 from repro.gnn.config import GNNConfig
 from repro.graph.hetero_graph import RELATION_TYPES
 from repro.nn.init import glorot_uniform, zeros_init
@@ -70,48 +64,6 @@ class HECGNNConv(Module):
             Parameter(glorot_uniform(out_dim, out_dim, rng), name=f"{name}.W_r{r}")
             for r in range(num_relations(config))
         ]
-        # Memoised (R, out_dim, out_dim) stack of the relation weights for the
-        # grouped one-GEMM path; rebuilt whenever any member array is swapped
-        # (load_state_dict / shared-memory rebinding replaces ``.data``).
-        self._stacked_weights: tuple | None = None
-
-    def _stacked_relation_weights(self) -> np.ndarray:
-        """Relation weights stacked into one batched operand, identity-cached.
-
-        The cache key is the identity of every member array, and the cached
-        entry pins those arrays (so a freed array's id cannot be reused while
-        the key still references it).  The stack is built once per weight
-        set instead of once per forward.
-        """
-        key = tuple(id(parameter.data) for parameter in self.relation_weights)
-        cached = self._stacked_weights
-        if cached is None or cached[0] != key:
-            sources = tuple(parameter.data for parameter in self.relation_weights)
-            cached = (key, sources, np.stack(sources))
-            self._stacked_weights = cached
-        return cached[2]
-
-    def _forward_grouped(
-        self, updated: Tensor, messages: Tensor, batch: GraphBatch, relations: int
-    ) -> Tensor:
-        """One-GEMM inference: gather → grouped matmul → grouped scatter-add.
-
-        Replaces the per-relation Python loop with three kernel calls over
-        the batch's relation-sorted edge layout.  The layout's (relation,
-        destination, edge-id) sort keeps each destination's accumulation
-        chain in original edge order, so the result is bitwise-identical to
-        the loop.
-        """
-        backend = active_backend()
-        groups = batch.relation_groups(relations)
-        sorted_messages = backend.gather_rows(messages.data, groups.order)
-        projected = backend.grouped_matmul(
-            sorted_messages, self._stacked_relation_weights(), groups.offsets
-        )
-        aggregated = backend.scatter_add_grouped(
-            projected, groups.destinations, groups.offsets, batch.num_nodes
-        )
-        return updated.add_relu(Tensor(aggregated))
 
     def forward(self, node_embeddings: Tensor, batch: GraphBatch) -> Tensor:
         # Fused affine kernel at inference (see repro.backend).
@@ -125,17 +77,10 @@ class HECGNNConv(Module):
             source = node_embeddings.gather_rows(batch.edge_index[0])
             messages = source @ self.edge_weight
 
+        # One projection + scatter per relation type, for training and
+        # inference alike; the batch memoises each relation's edge ids and
+        # destinations, so every layer and ensemble member reuses them.
         relations = num_relations(self.config)
-        if (
-            grouped_forward_enabled()
-            and not updated.requires_grad
-            and not messages.requires_grad
-        ):
-            return self._forward_grouped(updated, messages, batch, relations)
-
-        # Autograd path (and the ``REPRO_GROUPED_FORWARD=off`` escape hatch):
-        # the historical per-relation loop, one projection + scatter per
-        # relation type.  The grouped path above is bitwise-identical to it.
         aggregated: Tensor | None = None
         for relation in range(relations):
             edge_ids = batch.relation_edge_ids(relation, relations)

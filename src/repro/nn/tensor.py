@@ -48,16 +48,6 @@ def no_grad():
         _GRAD_ENABLED = previous
 
 
-def grad_enabled() -> bool:
-    """Whether operations are currently recorded on the autograd tape.
-
-    Inference-only fast paths (the grouped-relation forward, the fused
-    kernels) key off this: they have no backward implementation, so
-    they must only replace the composed ops when nothing records gradients.
-    """
-    return _GRAD_ENABLED
-
-
 def scatter_add_rows(
     values: np.ndarray, index: np.ndarray, num_segments: int
 ) -> np.ndarray:

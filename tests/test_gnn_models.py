@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.gnn.base import GraphBatch, segment_mean
+from repro.gnn.base import GraphBatch, num_relations, segment_mean
 from repro.gnn.baseline_convs import GCNModel, GINEModel, GraphConvModel, GraphSAGEModel
 from repro.gnn.config import GNNConfig
 from repro.gnn.hecgnn import HECGNN
 from repro.graph.hetero_graph import HeteroGraph
 from repro.nn.losses import mape_loss
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 MODEL_CLASSES = [HECGNN, GCNModel, GraphSAGEModel, GraphConvModel, GINEModel]
 
@@ -76,6 +76,49 @@ def test_hecgnn_relation_weights_follow_heterogeneity():
     assert len(homogeneous.convs[0].relation_weights) == 1
     assert heterogeneous.relation_names == ("A->A", "A->N", "N->A", "N->N")
     assert homogeneous.relation_names == ("all",)
+
+
+@pytest.mark.parametrize("heterogeneous", [True, False])
+def test_hecgnn_conv_is_equation_4_5(heterogeneous, random_graph_factory):
+    """One layer equals a direct transcription of Eq. (4)/(5):
+    ``h_v = relu(W_V h_v + b + sum_r sum_{u in N_v^r} W_r W_E e_uv)``, on a
+    graph whose relation 2 has no edges, and the inference forward equals
+    the autograd-recording one bit for bit."""
+    base = random_graph_factory(num_nodes=9, num_edges=40, seed=8)
+    graph = HeteroGraph(
+        node_features=base.node_features,
+        edge_index=base.edge_index,
+        edge_features=base.edge_features,
+        edge_types=np.where(base.edge_types == 2, 3, base.edge_types),
+        metadata=base.metadata,
+        node_is_arithmetic=base.node_is_arithmetic,
+    )
+    config = GNNConfig(
+        hidden_dim=8, num_layers=1, dropout=0.0, heterogeneous=heterogeneous
+    )
+    conv = HECGNN(6, 4, 5, config).convs[0]
+    conv.bias.data = np.random.default_rng(1).standard_normal(8)
+    prepared = graph if heterogeneous else graph.homogeneous()
+    batch = GraphBatch.from_graph(prepared, num_relations(config))
+    if heterogeneous:
+        assert batch.relation_edge_ids(2, 4).size == 0
+
+    relations = graph.edge_types if heterogeneous else np.zeros(graph.num_edges)
+    messages = graph.edge_features @ conv.edge_weight.data
+    aggregated = np.zeros((graph.num_nodes, 8))
+    for relation, weight in enumerate(conv.relation_weights):
+        mask = relations == relation
+        np.add.at(aggregated, graph.edge_index[1][mask], messages[mask] @ weight.data)
+    expected = np.maximum(
+        graph.node_features @ conv.node_weight.data + conv.bias.data + aggregated, 0.0
+    )
+
+    recorded = conv(batch.node_features, batch)
+    assert recorded.requires_grad
+    np.testing.assert_allclose(recorded.numpy(), expected, rtol=1e-12)
+    with no_grad():
+        inference = conv(batch.node_features, batch)
+    assert inference.numpy().tobytes() == recorded.numpy().tobytes()
 
 
 def test_metadata_branch_toggle(random_graph_factory):

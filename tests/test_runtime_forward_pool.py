@@ -1,16 +1,21 @@
-"""Pooled prediction: shared-memory parameter blocks + the ForwardPool.
+"""Pooled prediction: shared-memory parameter blocks, shared array bundles
+and the ForwardPool.
 
 Determinism contract under test: sharding the packed forward across worker
 processes on read-only shared-memory weights produces **bitwise-identical**
 predictions to the serial ``PowerGear.predict_batch``, because each shard
 runs the same member code on byte-identical inputs and the contiguous-shard
-merge rebuilds the member stack in order.
+merge rebuilds the member stack in order — also across a real SIGKILL of a
+forward worker mid-service.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
+import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from repro.runtime import (
     available_cpus,
 )
 from repro.runtime.pool import ForwardTask, _openblas_function
+from repro.runtime.shm import SharedArrayBundle, attach_array_bundle
 from repro.serve import EstimateRequest, PowerEstimationService
 
 from test_serve_service import build_synthetic_samples
@@ -57,6 +63,20 @@ def ensemble_model():
             ensemble=EnsembleConfig(folds=2, seeds=(0, 1)),  # 4 members
         )
     ).fit(samples[:24])
+    return model, samples
+
+
+@pytest.fixture(scope="module")
+def sigkill_ensemble():
+    samples = build_synthetic_samples(40, seed=33)
+    model = PowerGear(
+        PowerGearConfig(
+            target="dynamic",
+            gnn=GNNConfig(hidden_dim=10, num_layers=2),
+            training=TrainingConfig(epochs=3, batch_size=16),
+            ensemble=EnsembleConfig(folds=2, seeds=(0, 1)),  # 4 members
+        )
+    ).fit(samples[:28])
     return model, samples
 
 
@@ -97,6 +117,41 @@ def test_shared_parameter_block_roundtrip():
 def test_shared_parameter_block_rejects_empty():
     with pytest.raises(ValueError):
         SharedParameterBlock.create([])
+
+
+# ------------------------------------------------------- shared array bundles
+
+
+def test_shared_array_bundle_roundtrip_and_alignment():
+    rng = np.random.default_rng(3)
+    arrays = {
+        "node_features": rng.standard_normal((21, 5)),
+        "edge_index": rng.integers(0, 21, size=(2, 33)).astype(np.int64),
+        "edge_types": rng.integers(0, 4, size=33).astype(np.int64),
+        "odd_bytes": rng.standard_normal(7),  # 56 bytes: exercises padding
+        "flags": rng.integers(0, 2, size=9).astype(np.bool_),
+    }
+    bundle = SharedArrayBundle.create(arrays)
+    try:
+        spec = pickle.loads(pickle.dumps(bundle.spec))  # rides in task pickles
+        assert spec.fields == bundle.spec.fields
+        shm, views = attach_array_bundle(spec)
+        try:
+            for name, array in arrays.items():
+                view = views[name]
+                assert view.shape == array.shape
+                assert view.dtype == array.dtype
+                assert view.tobytes() == array.tobytes()
+                assert not view.flags.writeable
+                # 16-byte field alignment: BLAS-friendly views, no copies.
+                assert view.__array_interface__["data"][0] % 16 == 0
+        finally:
+            views.clear()
+            del view
+            shm.close()
+    finally:
+        bundle.unlink()
+        bundle.unlink()  # idempotent owner-side teardown
 
 
 # ------------------------------------------------------------- forward pool
@@ -431,6 +486,54 @@ def test_service_restarts_crashed_forward_pool_within_budget(fitted_ensemble):
         stats = service.runtime_stats()["forward_pool"]
         assert stats["supervisor"]["restarts"] == 1
         assert stats["supervisor"]["state"] == "ok"
+        assert service.health()["status"] == "ok"
+
+
+def test_service_recovers_sigkilled_forward_worker_bitwise(sigkill_ensemble):
+    """Acceptance: a real SIGKILL of a member-sharding forward worker is a
+    blip — the supervisor restarts the pool, the batch retries pooled, and
+    the recovered predictions are bitwise-identical to serial."""
+    model, samples = sigkill_ensemble
+    queries = samples[28:]
+    requests = [EstimateRequest.from_sample(s) for s in queries]
+    reference = model.predict_batch(queries, batch_size=len(queries))
+
+    def powers(responses) -> bytes:
+        return np.array([r.power for r in responses]).tobytes()
+
+    runtime = RuntimeConfig(forward_workers=2, pool_restart_backoff_s=0.01)
+    with PowerEstimationService(
+        model, batch_size=len(queries), runtime=runtime
+    ) as service:
+        first = service.estimate_many(requests)
+        assert powers(first) == reference.tobytes()
+        assert service.metrics.snapshot()["pooled_predicted"] == len(queries)
+
+        supervisor = service._forward_supervisor
+        assert supervisor is not None
+        executor = supervisor._pools[supervisor._generation]._pool
+        os.kill(next(iter(executor._processes)), signal.SIGKILL)
+        # Deterministic: the executor's manager thread watches worker
+        # sentinels; wait for it to observe the death so the next batch
+        # reliably hits the broken pool instead of racing the detection.
+        deadline = time.time() + 30
+        while not executor._broken and time.time() < deadline:
+            time.sleep(0.01)
+        assert executor._broken
+
+        service.cache.clear()
+        second = service.estimate_many(requests)
+        assert powers(second) == reference.tobytes()
+
+        snapshot = service.metrics.snapshot()
+        assert snapshot["pool_restarts"] == 1
+        assert snapshot["pooled_errors"] == 1  # the kill, visible
+        stats = service.runtime_stats()["forward_pool"]
+        assert stats["member_forwards"] == 2 * len(model.ensemble.members)
+        assert stats["shared_batch_bytes"] > 0
+        assert stats["supervisor"]["restarts"] == 1
+        assert stats["supervisor"]["state"] == "ok"
+        assert stats["supervisor"]["retried_batches"] == 1
         assert service.health()["status"] == "ok"
 
 
